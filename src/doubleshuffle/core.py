@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping
 
 
@@ -280,6 +281,8 @@ class LinComb:
 
     def __init__(self,
                  terms: Mapping | Iterable[tuple[object, int]] = ()) -> None:
+        """Sum the coefficients of repeated words and drop the zeros; every
+        operation that can make two terms collide goes through here."""
         data: dict = {}
         pairs = terms.items() if isinstance(terms, Mapping) else terms
         for word, c in pairs:
@@ -330,16 +333,7 @@ class LinComb:
         return isinstance(other, LinComb) and self._terms == other._terms
 
     def __add__(self, other: "LinComb") -> "LinComb":
-        data = dict(self._terms)
-        for word, c in other._terms.items():
-            c0 = data.get(word, 0) + c
-            if c0:
-                data[word] = c0
-            elif word in data:
-                del data[word]
-        out = LinComb.__new__(LinComb)
-        out._terms = data
-        return out
+        return LinComb(chain(self._terms.items(), other._terms.items()))
 
     def __sub__(self, other: "LinComb") -> "LinComb":
         return self + (-other)
@@ -362,31 +356,12 @@ class LinComb:
 
     def map_words(self, f: Callable) -> "LinComb":
         """Relabel every basis word through ``f`` (a word-to-word map)."""
-        data: dict = {}
-        for word, c in self._terms.items():
-            key = f(word)
-            c0 = data.get(key, 0) + c
-            if c0:
-                data[key] = c0
-            elif key in data:
-                del data[key]
-        out = LinComb.__new__(LinComb)
-        out._terms = data
-        return out
+        return LinComb((f(word), c) for word, c in self._terms.items())
 
     def apply(self, f: Callable) -> "LinComb":
         """Linear extension of a word-to-LinComb map."""
-        data: dict = {}
-        for word, c in self._terms.items():
-            for w2, c2 in f(word).iterterms():
-                c0 = data.get(w2, 0) + c * c2
-                if c0:
-                    data[w2] = c0
-                elif w2 in data:
-                    del data[w2]
-        out = LinComb.__new__(LinComb)
-        out._terms = data
-        return out
+        return LinComb((w2, c * c2) for word, c in self._terms.items()
+                       for w2, c2 in f(word).iterterms())
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -397,16 +372,6 @@ class LinComb:
 
 def bilinear(word_product: Callable, x: LinComb, y: LinComb) -> LinComb:
     """Extend a word-pair product (returning a LinComb) bilinearly."""
-    data: dict = {}
-    for u, cu in x.iterterms():
-        for v, cv in y.iterterms():
-            scale = cu * cv
-            for w, c in word_product(u, v).iterterms():
-                c0 = data.get(w, 0) + scale * c
-                if c0:
-                    data[w] = c0
-                elif w in data:
-                    del data[w]
-    out = LinComb.__new__(LinComb)
-    out._terms = data
-    return out
+    return LinComb((w, cu * cv * c) for u, cu in x.iterterms()
+                   for v, cv in y.iterterms()
+                   for w, c in word_product(u, v).iterterms())

@@ -64,12 +64,6 @@ class IndexPair:
     def in_phi(self, i: int) -> bool:
         return bool(self.phi_mask >> (i - 1) & 1)
 
-    def phi(self, j: int) -> int:
-        return self.phi_image[j - 1]
-
-    def psi(self, j: int) -> int:
-        return self.psi_image[j - 1]
-
     def phi_index(self, i: int) -> int:
         """j with phi(j) = i, assuming i lies in the phi image (1-based)."""
         return (self.phi_mask & ((1 << i) - 1)).bit_count()
@@ -253,25 +247,34 @@ def _coeff_fast(eps: list[bool], h: list[int], hpre: list[int],
     return c
 
 
-def _explicit_product(mu: IndexedWord, nu: IndexedWord, merge) -> LinComb:
+def _routed_args(pair: IndexPair, r: tuple[int, ...], s: tuple[int, ...]) -> tuple:
+    """The per-pair arguments of :func:`_coeff_fast`."""
+    h, eps = _routing(pair, r, s)
+    return eps, h, _prefix(h)
+
+
+def _closed_form_terms(mu: IndexedWord, nu: IndexedWord, merge, pair_args,
+                       coeff) -> Iterator[tuple[IndexedWord, int]]:
+    """The nonzero terms of the double sum over index pairs and compositions.
+
+    ``merge(pair, a, b)`` routes the mark vectors to the target positions;
+    the coefficient of t is ``coeff(x, y, z, t)`` with ``(x, y, z) =
+    pair_args(pair, r, s)``, a direct call per candidate.
+    """
     r, a = mu.exponents, mu.marks
     s, b = nu.exponents, nu.marks
     k, l = len(r), len(s)
     if k == 0 and l == 0:
-        return LinComb.single(IndexedWord())
-    n = k + l
+        yield IndexedWord(), 1
+        return
     total = sum(r) + sum(s)
-    data: dict[IndexedWord, int] = {}
     for pair in enum_index_pairs(k, l):
-        h, eps = _routing(pair, r, s)
-        hpre = _prefix(h)
         marks = merge(pair, a, b)
-        for t in enum_compositions(total, n):
-            c = _coeff_fast(eps, h, hpre, t)
+        x, y, z = pair_args(pair, r, s)
+        for t in enum_compositions(total, k + l):
+            c = coeff(x, y, z, t)
             if c:
-                word = IndexedWord(tuple(zip(t, marks)))
-                data[word] = data.get(word, 0) + c
-    return LinComb(data)
+                yield IndexedWord(tuple(zip(t, marks))), c
 
 
 def explicit_product_b(mu: IndexedWord, nu: IndexedWord) -> LinComb:
@@ -281,13 +284,15 @@ def explicit_product_b(mu: IndexedWord, nu: IndexedWord) -> LinComb:
     An empty factor is absorbed by the degenerate pair convention, under
     which the coefficient collapses to a Kronecker delta.
     """
-    return _explicit_product(mu, nu, merge_marks_b)
+    return LinComb(_closed_form_terms(mu, nu, merge_marks_b, _routed_args,
+                                      _coeff_fast))
 
 
 def explicit_product_e(mu: IndexedWord, nu: IndexedWord) -> LinComb:
     """Closed form of ``maps.product_e``: same coefficients as the b-form,
     with the quotient-coordinate mark merge."""
-    return _explicit_product(mu, nu, merge_marks_e)
+    return LinComb(_closed_form_terms(mu, nu, merge_marks_e, _routed_args,
+                                      _coeff_fast))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +348,11 @@ def perm_coeff(sigma: tuple[int, ...], r: tuple[int, ...], s: tuple[int, ...],
     k = len(r)
     if not is_shuffle_perm(sigma, k):
         raise DomainError("sigma is not a (k, l)-shuffle permutation")
-    kappa = r + s
+    return _perm_coeff_fast(sigma, r + s, k, t)
+
+
+def _perm_coeff_fast(sigma: tuple[int, ...], kappa: tuple[int, ...], k: int,
+                     t: tuple[int, ...]) -> int:
     c = 1
     drift = 0  # sum_{j<i} (t_j - kappa_{sigma(j)})
     prev_low = sigma[0] <= k if sigma else True
@@ -363,22 +372,13 @@ def perm_coeff(sigma: tuple[int, ...], r: tuple[int, ...], s: tuple[int, ...],
 
 def perm_product_b(mu: IndexedWord, nu: IndexedWord) -> LinComb:
     """The b-form product computed through the permutation formulation."""
-    r, a = mu.exponents, mu.marks
-    s, b = nu.exponents, nu.marks
-    k, l = len(r), len(s)
-    if k == 0 and l == 0:
-        return LinComb.single(IndexedWord())
-    total = sum(r) + sum(s)
-    data: dict[IndexedWord, int] = {}
-    for sigma in enum_shuffle_perms(k, l):
-        pair = pair_of_sigma(sigma, k)
-        marks = merge_marks_b(pair, a, b)
-        for t in enum_compositions(total, k + l):
-            c = perm_coeff(sigma, r, s, t)
-            if c:
-                word = IndexedWord(tuple(zip(t, marks)))
-                data[word] = data.get(word, 0) + c
-    return LinComb(data)
+    return LinComb(_closed_form_terms(mu, nu, merge_marks_b, _sigma_args,
+                                      _perm_coeff_fast))
+
+
+def _sigma_args(pair: IndexPair, r: tuple[int, ...], s: tuple[int, ...]) -> tuple:
+    """The per-pair arguments of :func:`_perm_coeff_fast`."""
+    return sigma_of_pair(pair), r + s, len(r)
 
 
 # ---------------------------------------------------------------------------

@@ -29,14 +29,9 @@ def shuffle(u: ShuffleWord, v: ShuffleWord) -> LinComb:
     a, b = u.letters[0], v.letters[0]
     u_tail = ShuffleWord(u.letters[1:])
     v_tail = ShuffleWord(v.letters[1:])
-    data: dict[ShuffleWord, int] = {}
-    for w, c in shuffle(u_tail, v).iterterms():
-        key = ShuffleWord((a,) + w.letters)
-        data[key] = data.get(key, 0) + c
-    for w, c in shuffle(u, v_tail).iterterms():
-        key = ShuffleWord((b,) + w.letters)
-        data[key] = data.get(key, 0) + c
-    return LinComb(data)
+    return LinComb((ShuffleWord((head,) + w.letters), c)
+                   for head, left, right in ((a, u_tail, v), (b, u, v_tail))
+                   for w, c in shuffle(left, right).iterterms())
 
 
 @cache
@@ -54,16 +49,12 @@ def quasi_shuffle(mu: IndexedWord, nu: IndexedWord) -> LinComb:
     (s2, b2) = nu.pairs[0]
     mu_tail = IndexedWord(mu.pairs[1:])
     nu_tail = IndexedWord(nu.pairs[1:])
-    data: dict[IndexedWord, int] = {}
-    for head, left, right in (
-        ((s1, b1), mu_tail, nu),
-        ((s2, b2), mu, nu_tail),
-        ((s1 + s2, b1 * b2), mu_tail, nu_tail),
-    ):
-        for w, c in quasi_shuffle(left, right).iterterms():
-            key = IndexedWord((head,) + w.pairs)
-            data[key] = data.get(key, 0) + c
-    return LinComb(data)
+    return LinComb((IndexedWord((head,) + w.pairs), c)
+                   for head, left, right in (
+                       ((s1, b1), mu_tail, nu),
+                       ((s2, b2), mu, nu_tail),
+                       ((s1 + s2, b1 * b2), mu_tail, nu_tail))
+                   for w, c in quasi_shuffle(left, right).iterterms())
 
 
 def op_P(x: LinComb) -> LinComb:

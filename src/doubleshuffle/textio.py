@@ -150,14 +150,6 @@ def parse_shuffle_word(text: str) -> ShuffleWord:
     return ShuffleWord(letters)
 
 
-def format_indexed_word(word: IndexedWord) -> str:
-    return str(word)
-
-
-def format_shuffle_word(word: ShuffleWord) -> str:
-    return str(word)
-
-
 def format_lincomb(lc: LinComb) -> str:
     """Byte-stable text: terms in canonical order, e.g. ``2*(2,2) + 4*(3,1)``."""
     if not lc:
@@ -218,9 +210,15 @@ def relation_to_json(rel: Relation) -> dict:
 
 
 def relation_from_json(d: dict) -> Relation:
+    if not isinstance(d, dict):
+        raise WordSyntaxError("a relation must be a JSON object", str(d), 0)
     kind = d.get("kind", "double-shuffle")
-    if kind not in ZERO_SUM_KINDS | PRODUCT_KINDS:
+    if not isinstance(kind, str) or kind not in ZERO_SUM_KINDS | PRODUCT_KINDS:
         raise WordSyntaxError(f"unknown relation kind {kind!r}", str(d), 0)
+    for key in ("factors", "terms"):
+        items = d.get(key, [])
+        if not isinstance(items, list) or not all(isinstance(x, dict) for x in items):
+            raise WordSyntaxError(f"{key!r} must be a list of objects", str(d), 0)
     factors = tuple(word_from_json(w) for w in d.get("factors", []))
     return Relation(kind, factors, lincomb_from_json(d))
 

@@ -87,14 +87,11 @@ def euler_relation(r: int, s: int) -> Relation:
     """
     if r < 2 or s < 2:
         raise DomainError("both exponents must be >= 2")
-    data: dict[IndexedWord, int] = {}
-    for p, q in ((r, s), (s, r)):
-        for k in range(q):
-            word = IndexedWord.from_parts((p + k, q - k))
-            data[word] = data.get(word, 0) + binomial(p + k - 1, k)
     return Relation("euler",
                     (IndexedWord.from_parts((r,)), IndexedWord.from_parts((s,))),
-                    LinComb(data))
+                    LinComb((IndexedWord.from_parts((p + k, q - k)),
+                             binomial(p + k - 1, k))
+                            for p, q in ((r, s), (s, r)) for k in range(q)))
 
 
 def indexed_words(weight: int, depth: int, order: int = 1) -> list[IndexedWord]:
@@ -164,44 +161,48 @@ def worked_examples() -> dict[str, Relation]:
     ``explicit_product_e`` is a genuine cross-check.
     """
     return {
-        "zeta-1x2": _depth_1_2_zeta(2, 2, 1),
-        "zeta-2x2": _depth_2_2_zeta((2, 1), (2, 1)),
+        "zeta-1x2": _zeta_product(_depth_1_2_terms, (2,), (2, 1)),
+        "zeta-2x2": _zeta_product(_depth_2_2_terms, (2, 1), (2, 1)),
         "alternating-1x1": _depth_1_1_marked(2, 2, MINUS_ONE),
     }
 
 
-def _depth_1_2_zeta(r1: int, s1: int, s2: int) -> Relation:
-    """zeta(r1) zeta(s1, s2) expanded; r1, s1 >= 2."""
-    data: dict[IndexedWord, int] = {}
+def _zeta_product(expand, r: tuple[int, ...], s: tuple[int, ...]) -> Relation:
+    """zeta(r) zeta(s) = sum c * zeta(t) over the ``(t, c)`` of ``expand(r, s)``."""
+    return Relation("product",
+                    (IndexedWord.from_parts(r), IndexedWord.from_parts(s)),
+                    LinComb((IndexedWord.from_parts(t), c)
+                            for t, c in expand(r, s) if c))
+
+
+def _depth_1_2_terms(r: tuple[int], s: tuple[int, int]):
+    """Terms of zeta(r1) zeta(s1, s2) expanded; r1, s1 >= 2."""
+    (r1,), (s1, s2) = r, s
     for t1 in range(2, r1 + s1):
         t2 = r1 + s1 - t1
         if t2 < 1:
             continue
-        _bump(data, (t1, t2, s2), binomial(t1 - 1, r1 - 1))
+        yield (t1, t2, s2), binomial(t1 - 1, r1 - 1)
     total = r1 + s1 + s2
     for t1 in range(2, total - 1):
         for t2 in range(1, total - t1):
             t3 = total - t1 - t2
             c = binomial(t1 - 1, s1 - 1) * (binomial(t2 - 1, s2 - t3)
                                             + binomial(t2 - 1, s2 - 1))
-            _bump(data, (t1, t2, t3), c)
-    return Relation("product",
-                    (IndexedWord.from_parts((r1,)), IndexedWord.from_parts((s1, s2))),
-                    LinComb(data))
+            yield (t1, t2, t3), c
 
 
-def _depth_2_2_zeta(r: tuple[int, int], s: tuple[int, int]) -> Relation:
-    """zeta(r1, r2) zeta(s1, s2) expanded; r1, s1 >= 2."""
+def _depth_2_2_terms(r: tuple[int, int], s: tuple[int, int]):
+    """Terms of zeta(r1, r2) zeta(s1, s2) expanded; r1, s1 >= 2."""
     r1, r2 = r
     s1, s2 = s
-    data: dict[IndexedWord, int] = {}
     for tail, w1, w2 in ((s2, r1, r2), (r2, s1, s2)):
         total = r1 + r2 + s1 + s2 - tail
         for t1 in range(2, total - 1):
             for t2 in range(1, total - t1):
                 t3 = total - t1 - t2
                 c = binomial(t1 - 1, w1 - 1) * binomial(t2 - 1, w2 - 1)
-                _bump(data, (t1, t2, t3, tail), c)
+                yield (t1, t2, t3, tail), c
     total = r1 + r2 + s1 + s2
     for t1 in range(2, total - 2):
         for t2 in range(1, total - t1 - 1):
@@ -212,30 +213,20 @@ def _depth_2_2_zeta(r: tuple[int, int], s: tuple[int, int]) -> Relation:
                      * (binomial(t3 - 1, s2 - t4) + binomial(t3 - 1, s2 - 1))
                      + binomial(t1 - 1, s1 - 1) * mid
                      * (binomial(t3 - 1, r2 - t4) + binomial(t3 - 1, r2 - 1)))
-                _bump(data, (t1, t2, t3, t4), c)
-    return Relation("product",
-                    (IndexedWord.from_parts(r), IndexedWord.from_parts(s)),
-                    LinComb(data))
+                yield (t1, t2, t3, t4), c
 
 
 def _depth_1_1_marked(r1: int, s1: int, w1: GroupElement,
                       z1: GroupElement | None = None) -> Relation:
     """The marked generalization of the depth-1 decomposition."""
     z1 = w1 if z1 is None else z1
-    data: dict[IndexedWord, int] = {}
-    for p, q, first, second in ((r1, s1, w1, z1 / w1), (s1, r1, z1, w1 / z1)):
-        for k in range(q):
-            word = IndexedWord(((p + k, first), (q - k, second)))
-            data[word] = data.get(word, 0) + binomial(p + k - 1, k)
     return Relation("product",
                     (IndexedWord(((r1, w1),)), IndexedWord(((s1, z1),))),
-                    LinComb(data))
-
-
-def _bump(data: dict[IndexedWord, int], exponents: tuple[int, ...], c: int) -> None:
-    if c:
-        word = IndexedWord.from_parts(exponents)
-        data[word] = data.get(word, 0) + c
+                    LinComb((IndexedWord(((p + k, first), (q - k, second))),
+                             binomial(p + k - 1, k))
+                            for p, q, first, second in ((r1, s1, w1, z1 / w1),
+                                                        (s1, r1, z1, w1 / z1))
+                            for k in range(q)))
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,22 @@ class TestCommandLine:
         assert code == 2
         assert err
 
+    @pytest.mark.parametrize("line", [
+        '[1]',
+        '"x"',
+        '{"terms": 5}',
+        '{"terms": [5]}',
+        '{"kind": "euler", "factors": 5, '
+        '"terms": [{"coeff": "1", "s": [2, 2], "m": ["0/1", "0/1"]}]}',
+    ])
+    def test_verify_rejects_misshapen_records(self, capsys, tmp_path, line):
+        stream = tmp_path / "bad.jsonl"
+        stream.write_text(line + "\n")
+        code, _, err = self.run(capsys, "verify", "--input", str(stream))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_relations_root_group(self, capsys):
         code, out, _ = self.run(capsys, "relations", "--weight", "3",
                                 "--depth", "2", "--group", "root:4",

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from doubleshuffle import (MINUS_ONE, ONE, GroupElement, IndexedWord, Letter,
-                           LinComb, ShuffleWord, binomial, group_elements)
+                           LinComb, ShuffleWord, bilinear, binomial,
+                           group_elements)
 
 from helpers import zw
 
@@ -130,6 +131,15 @@ class TestLinComb:
         assert len(x) == 1
         assert x.coeff(zw(2)) == 0
         assert x.coeff(zw(3)) == 2
+        pair = LinComb([(zw(2), 1), (zw(3), -1)])
+        cancelled = (
+            pair.map_words(lambda w: zw(4)),
+            pair.apply(lambda w: LinComb.single(zw(4), 2)),
+            bilinear(lambda u, v: LinComb.single(zw(5)), pair, LinComb.single(zw(1))),
+        )
+        for z in cancelled:
+            assert len(z) == 0
+            assert z == LinComb.zero()
 
     def test_canonical_item_order(self):
         x = LinComb([(zw(3, 1), 1), (zw(2, 2), 1), (zw(2), 1),
