@@ -113,13 +113,23 @@ def _cmd_verify(args) -> int:
     stream = args.input if args.input is not None else sys.stdin
     failed = 0
     count = 0
+    skipped = 0
     for line in stream:
         line = line.strip()
         if not line:
             continue
         rel = relation_from_json(json.loads(line))
-        report = verify_relation_numeric(rel, args.terms, args.tol,
-                                         allow_conditional=args.allow_conditional)
+        try:
+            report = verify_relation_numeric(
+                rel, args.terms, args.tol,
+                allow_conditional=args.allow_conditional)
+        except DomainError as exc:
+            skipped += 1
+            if args.format == "json":
+                print(json.dumps({"label": rel.label, "skipped": str(exc)}))
+            else:
+                print(f"skip {rel.label} ({exc})")
+            continue
         count += 1
         if not report.passed:
             failed += 1
@@ -132,7 +142,8 @@ def _cmd_verify(args) -> int:
             print(f"{status} {rel.label} residual={report.residual:.3e} "
                   f"bound={report.bound:.3e}")
     if args.format != "json":
-        print(f"{count - failed}/{count} relations verified")
+        summary = f"{count - failed}/{count} relations verified"
+        print(summary + (f", {skipped} skipped" if skipped else ""))
     return 1 if failed else 0
 
 

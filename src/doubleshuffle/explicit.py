@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Iterator
 
 from .core import DomainError, GroupElement, IndexedWord, LinComb, binomial
@@ -131,7 +132,19 @@ def coeff(pair: IndexPair, r: tuple[int, ...], s: tuple[int, ...],
           t: tuple[int, ...]) -> int:
     """Product of all position factors; the expansion coefficient of t."""
     h, eps = _routing(pair, r, s)
-    return _coeff_fast(eps, h, _prefix(h), t)
+    c = 1
+    tsum = hsum = 0
+    for i, ti in enumerate(t):
+        tsum += ti
+        hsum += h[i]
+        if i == 0 or eps[i] == eps[i - 1]:
+            f = binomial(ti - 1, h[i] - 1)
+        else:
+            f = binomial(ti - 1, tsum - hsum)
+        if not f:
+            return 0
+        c *= f
+    return c
 
 
 def coeff_nonzero(pair: IndexPair, r: tuple[int, ...], s: tuple[int, ...],
@@ -224,42 +237,57 @@ def _routing(pair: IndexPair, r: tuple[int, ...],
     return h, eps
 
 
-def _prefix(h: list[int]) -> list[int]:
-    out = [0]
-    for x in h:
-        out.append(out[-1] + x)
-    return out
+def _walk(pair: IndexPair, r: tuple[int, ...],
+          s: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every composition t of the total weight with a nonzero coefficient,
+    in lexicographic order, paired with that coefficient.
 
-
-def _coeff_fast(eps: list[bool], h: list[int], hpre: list[int],
-                t: tuple[int, ...]) -> int:
-    c = 1
-    tsum = 0
-    for i, ti in enumerate(t):
-        tsum += ti
-        if i == 0 or eps[i] == eps[i - 1]:
-            f = binomial(ti - 1, h[i] - 1)
-        else:
-            f = binomial(ti - 1, tsum - hpre[i + 1])
-        if not f:
-            return 0
-        c *= f
-    return c
-
-
-def _routed_args(pair: IndexPair, r: tuple[int, ...], s: tuple[int, ...]) -> tuple:
-    """The per-pair arguments of :func:`_coeff_fast`."""
+    Write h for the routed exponents, T and H for the prefix sums of t and
+    h, and d_i = T_i - H_i for the slack.  The nonvanishing criterion reads
+    d_i >= d_{i-1} at a same-source position (t_i >= h_i), and d_{i-1} < h_i
+    with d_i >= 0 at a source switch (T_{i-1} < H_i <= T_i); position 1
+    counts as same-source with d_0 = 0.  So d >= 0 throughout, d never
+    decreases within a run of one source, d <= h_j - 1 just before a switch
+    at j, and d ends at 0 because T and H share the total weight.  Each
+    position before the last run is therefore capped by its next switch,
+    the last run is forced (t_j = h_j after its first position, factor 1
+    throughout), and every visited prefix extends to a term.  The
+    coefficient is a running product, one binomial per position.
+    """
     h, eps = _routing(pair, r, s)
-    return eps, h, _prefix(h)
+    last = len(h) - 1
+    while last and eps[last - 1] == eps[-1]:
+        last -= 1
+    if not last:
+        return iter(((tuple(h), 1),))
+    cap = [0] * last
+    for i in range(last - 1, -1, -1):
+        cap[i] = h[i + 1] - 1 if eps[i + 1] != eps[i] else cap[i + 1]
+    h_last, rest = h[last], tuple(h[last + 1:])
+
+    def walk(i: int, d: int, t: tuple[int, ...], c: int):
+        hi = h[i]
+        switch = i and eps[i] != eps[i - 1]
+        for e in range(0 if switch else d, cap[i] + 1):
+            ti = hi + e - d
+            ce = c * comb(ti - 1, e if switch else hi - 1)
+            if i + 1 < last:
+                yield from walk(i + 1, e, t + (ti,), ce)
+            else:
+                yield t + (ti, h_last - e) + rest, ce
+
+    return walk(0, 0, (), 1)
 
 
-def _closed_form_terms(mu: IndexedWord, nu: IndexedWord, merge, pair_args,
-                       coeff) -> Iterator[tuple[IndexedWord, int]]:
+def _closed_form_terms(mu: IndexedWord, nu: IndexedWord, merge,
+                       perm_form: bool = False
+                       ) -> Iterator[tuple[IndexedWord, int]]:
     """The nonzero terms of the double sum over index pairs and compositions.
 
-    ``merge(pair, a, b)`` routes the mark vectors to the target positions;
-    the coefficient of t is ``coeff(x, y, z, t)`` with ``(x, y, z) =
-    pair_args(pair, r, s)``, a direct call per candidate.
+    ``merge(pair, a, b)`` routes the mark vectors to the target positions.
+    Only the compositions :func:`_walk` visits are expanded.  With
+    ``perm_form`` each walked coefficient is recomputed by the permutation
+    formula, an independent formula for the same number.
     """
     r, a = mu.exponents, mu.marks
     s, b = nu.exponents, nu.marks
@@ -267,14 +295,14 @@ def _closed_form_terms(mu: IndexedWord, nu: IndexedWord, merge, pair_args,
     if k == 0 and l == 0:
         yield IndexedWord(), 1
         return
-    total = sum(r) + sum(s)
+    kappa = r + s
     for pair in enum_index_pairs(k, l):
         marks = merge(pair, a, b)
-        x, y, z = pair_args(pair, r, s)
-        for t in enum_compositions(total, k + l):
-            c = coeff(x, y, z, t)
-            if c:
-                yield IndexedWord(tuple(zip(t, marks))), c
+        sigma = sigma_of_pair(pair) if perm_form else None
+        for t, c in _walk(pair, r, s):
+            if perm_form:
+                c = _perm_coeff_fast(sigma, kappa, k, t)
+            yield IndexedWord(tuple(zip(t, marks))), c
 
 
 def explicit_product_b(mu: IndexedWord, nu: IndexedWord) -> LinComb:
@@ -284,15 +312,13 @@ def explicit_product_b(mu: IndexedWord, nu: IndexedWord) -> LinComb:
     An empty factor is absorbed by the degenerate pair convention, under
     which the coefficient collapses to a Kronecker delta.
     """
-    return LinComb(_closed_form_terms(mu, nu, merge_marks_b, _routed_args,
-                                      _coeff_fast))
+    return LinComb(_closed_form_terms(mu, nu, merge_marks_b))
 
 
 def explicit_product_e(mu: IndexedWord, nu: IndexedWord) -> LinComb:
     """Closed form of ``maps.product_e``: same coefficients as the b-form,
     with the quotient-coordinate mark merge."""
-    return LinComb(_closed_form_terms(mu, nu, merge_marks_e, _routed_args,
-                                      _coeff_fast))
+    return LinComb(_closed_form_terms(mu, nu, merge_marks_e))
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +398,7 @@ def _perm_coeff_fast(sigma: tuple[int, ...], kappa: tuple[int, ...], k: int,
 
 def perm_product_b(mu: IndexedWord, nu: IndexedWord) -> LinComb:
     """The b-form product computed through the permutation formulation."""
-    return LinComb(_closed_form_terms(mu, nu, merge_marks_b, _sigma_args,
-                                      _perm_coeff_fast))
-
-
-def _sigma_args(pair: IndexPair, r: tuple[int, ...], s: tuple[int, ...]) -> tuple:
-    """The per-pair arguments of :func:`_perm_coeff_fast`."""
-    return sigma_of_pair(pair), r + s, len(r)
+    return LinComb(_closed_form_terms(mu, nu, merge_marks_b, perm_form=True))
 
 
 # ---------------------------------------------------------------------------

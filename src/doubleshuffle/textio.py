@@ -175,11 +175,20 @@ def word_to_json(word: IndexedWord) -> dict:
 
 
 def word_from_json(d: dict) -> IndexedWord:
-    marks = [_fraction_from_str(m) for m in d["m"]]
-    return IndexedWord.from_parts([int(s) for s in d["s"]], marks)
+    exponents, marks = d["s"], d["m"]
+    if not (isinstance(exponents, list)
+            and all(type(s) is int for s in exponents)):
+        raise WordSyntaxError("'s' must be a list of integers", str(d), 0)
+    if not isinstance(marks, list):
+        raise WordSyntaxError("'m' must be a list of 'p/q' strings", str(d), 0)
+    return IndexedWord.from_parts(exponents,
+                                  [_fraction_from_str(m) for m in marks])
 
 
 def _fraction_from_str(text: str) -> GroupElement:
+    if not isinstance(text, str):
+        raise WordSyntaxError("malformed fraction: expected 'p/q'",
+                              str(text), 0)
     num, _, den = text.partition("/")
     if not den:
         raise WordSyntaxError("malformed fraction: expected 'p/q'", text, 0)
@@ -200,7 +209,21 @@ def lincomb_to_json(lc: LinComb) -> dict:
 
 
 def lincomb_from_json(d: dict) -> LinComb:
-    return LinComb((word_from_json(t), int(t["coeff"])) for t in d["terms"])
+    return LinComb((word_from_json(t), _coeff_from_json(t["coeff"]))
+                   for t in d["terms"])
+
+
+def _coeff_from_json(value) -> int:
+    """A coefficient: a decimal string as emitted, or a JSON integer."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise WordSyntaxError("coefficient must be a decimal integer string",
+                          str(value), 0)
 
 
 def relation_to_json(rel: Relation) -> dict:

@@ -1,9 +1,13 @@
 """Word grammar, emitters, and the command line surface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import doubleshuffle
 from doubleshuffle import (MINUS_ONE, ONE, GroupElement, IndexedWord, Letter,
                            LinComb, ShuffleWord, quasi_shuffle)
 from doubleshuffle.cli import main
@@ -221,6 +225,10 @@ class TestCommandLine:
         '{"terms": [5]}',
         '{"kind": "euler", "factors": 5, '
         '"terms": [{"coeff": "1", "s": [2, 2], "m": ["0/1", "0/1"]}]}',
+        '{"terms": [{"coeff": "1", "s": 5, "m": ["0/1"]}]}',
+        '{"terms": [{"coeff": "1", "s": [2], "m": [7]}]}',
+        '{"terms": [{"coeff": null, "s": [2], "m": ["0/1"]}]}',
+        '{"terms": [{"coeff": 1.7, "s": [2], "m": ["0/1"]}]}',
     ])
     def test_verify_rejects_misshapen_records(self, capsys, tmp_path, line):
         stream = tmp_path / "bad.jsonl"
@@ -229,6 +237,43 @@ class TestCommandLine:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_verify_skips_conditional_words(self, capsys, tmp_path):
+        code, out, _ = self.run(capsys, "relations", "--weight", "6",
+                                "--depth", "3", "--group", "root:2",
+                                "--hoffman", "--format", "json")
+        assert code == 0
+        stream = tmp_path / "relations.jsonl"
+        stream.write_text(out)
+        lines = out.splitlines()
+        code, out, _ = self.run(capsys, "verify", "--terms", "1000",
+                                "--format", "json", "--input", str(stream))
+        assert code == 0
+        records = [json.loads(x) for x in out.splitlines()]
+        assert len(records) == len(lines)
+        skipped = [x for x in records if "skipped" in x]
+        assert skipped
+        assert all("conditionally" in x["skipped"] for x in skipped)
+        assert all(x["passed"] for x in records if "skipped" not in x)
+        code, out, _ = self.run(capsys, "verify", "--terms", "1000",
+                                "--input", str(stream))
+        assert code == 0
+        out_lines = out.splitlines()
+        assert len(out_lines) == len(lines) + 1
+        assert sum(x.startswith("skip ") for x in out_lines) == len(skipped)
+        assert out_lines[-1].endswith(f", {len(skipped)} skipped")
+
+    def test_module_entry_point(self, capsys):
+        src = os.path.dirname(os.path.dirname(doubleshuffle.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "doubleshuffle",
+                               "euler", "2", "3"], capture_output=True,
+                              text=True, env=env, timeout=60)
+        _, out, _ = self.run(capsys, "euler", "2", "3")
+        assert proc.returncode == 0
+        assert proc.stdout == out
 
     def test_relations_root_group(self, capsys):
         code, out, _ = self.run(capsys, "relations", "--weight", "3",

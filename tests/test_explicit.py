@@ -12,9 +12,9 @@ from doubleshuffle import (MINUS_ONE, ONE, DomainError, GroupElement,
                            perm_coeff, perm_product_b, product_b, product_e,
                            sigma_of_pair)
 from doubleshuffle.core import LinComb
-from doubleshuffle.explicit import (IndexPair, amp, dagger,
-                                    extend_phi_leading, extend_psi_leading,
-                                    restrict_phi_leading,
+from doubleshuffle.explicit import (IndexPair, _closed_form_terms, _walk, amp,
+                                    dagger, extend_phi_leading,
+                                    extend_psi_leading, restrict_phi_leading,
                                     restrict_psi_leading, sharp, star)
 from doubleshuffle.maps import theta_marks
 
@@ -321,6 +321,65 @@ class TestExplicitProducts:
             for nu in all_indexed_words(4):
                 got = explicit_product_b(mu, nu)
                 assert got.mass() == binomial(mu.weight + nu.weight, mu.weight)
+
+
+def exponent_vectors(weight, n):
+    """All n-vectors of positive integers summing to weight; () for n = 0."""
+    if n == 0:
+        return [()] if weight == 0 else []
+    return list(enum_compositions(weight, n))
+
+
+def unpruned_terms(mu, nu, merge):
+    """The closed-form terms by the definition: every index pair, every
+    composition of the total weight, the coefficient of each, zeros dropped."""
+    r, s = mu.exponents, nu.exponents
+    total = mu.weight + nu.weight
+    for pair in enum_index_pairs(len(r), len(s)):
+        marks = merge(pair, mu.marks, nu.marks)
+        for t in enum_compositions(total, len(r) + len(s)):
+            c = coeff(pair, r, s, t)
+            if c:
+                yield IndexedWord(tuple(zip(t, marks))), c
+
+
+class TestPrunedWalk:
+    def test_walk_is_the_nonzero_set(self):
+        for k in range(4):
+            for l in range(4):
+                for w in range(max(k + l, 1), 10):
+                    for wr in range(w + 1):
+                        for r in exponent_vectors(wr, k):
+                            for s in exponent_vectors(w - wr, l):
+                                for pair in enum_index_pairs(k, l):
+                                    walked = list(_walk(pair, r, s))
+                                    assert [t for t, _ in walked] == [
+                                        t for t in enum_compositions(w, k + l)
+                                        if coeff_nonzero(pair, r, s, t)]
+                                    for t, c in walked:
+                                        assert c == coeff(pair, r, s, t)
+
+    def test_terms_match_unpruned_sum_root_3(self):
+        third, two_thirds = GroupElement(1, 3), GroupElement(2, 3)
+        words = [IndexedWord(((2, third), (1, ONE), (3, two_thirds))),
+                 IndexedWord(((1, two_thirds), (2, two_thirds))),
+                 IndexedWord(((3, ONE), (1, third))),
+                 IndexedWord(((2, third),))]
+        for mu in words:
+            for nu in words:
+                for merge in (merge_marks_b, merge_marks_e):
+                    assert list(_closed_form_terms(mu, nu, merge)) == \
+                        list(unpruned_terms(mu, nu, merge))
+
+    def test_perm_coefficients_match_e_form_term_by_term(self):
+        mu = IndexedWord(((2, GroupElement(1, 3)), (1, ONE), (3, ONE)))
+        nu = IndexedWord(((1, GroupElement(2, 3)), (2, GroupElement(1, 3))))
+        perm = list(_closed_form_terms(mu, nu, merge_marks_b, perm_form=True))
+        e_form = list(_closed_form_terms(mu, nu, merge_marks_e))
+        assert len(perm) == len(e_form) > 0
+        for (pw, pc), (ew, ec) in zip(perm, e_form):
+            assert pw.exponents == ew.exponents
+            assert pc == ec
 
 
 class TestPermutationForm:
