@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .core import DomainError, LinComb
@@ -69,25 +70,16 @@ def _cmd_shuffle(args) -> int:
     return 0
 
 
-def _cmd_stuffle(args) -> int:
-    mu = parse_indexed_word(args.left)
-    nu = parse_indexed_word(args.right)
-    _print_lincomb(quasi_shuffle(mu, nu), args)
-    return 0
+_CLOSED_FORMS = {"b": explicit_product_b, "e": explicit_product_e}
 
 
-def _cmd_explicit(args) -> int:
+def _cmd_product(args) -> int:
+    """Print the product of two index words: the subcommand's ``product``,
+    or for ``explicit`` the closed form that ``--form`` picks."""
     mu = parse_indexed_word(args.left)
     nu = parse_indexed_word(args.right)
-    product = explicit_product_b if args.form == "b" else explicit_product_e
+    product = args.product or _CLOSED_FORMS[args.form]
     _print_lincomb(product(mu, nu), args)
-    return 0
-
-
-def _cmd_perm_form(args) -> int:
-    mu = parse_indexed_word(args.left)
-    nu = parse_indexed_word(args.right)
-    _print_lincomb(perm_product_b(mu, nu), args)
     return 0
 
 
@@ -97,6 +89,8 @@ def _cmd_euler(args) -> int:
 
 
 def _cmd_relations(args) -> int:
+    if args.weight < 1 or args.depth < 1:
+        raise ValueError("--weight and --depth must be >= 1")
     order = _group_order(args.group)
     rels = double_shuffle_relations(args.weight, args.depth, order)
     if args.hoffman:
@@ -110,6 +104,8 @@ def _cmd_relations(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError("--tol must be finite and >= 0")
     stream = args.input if args.input is not None else sys.stdin
     failed = 0
     count = 0
@@ -172,21 +168,21 @@ def build_parser() -> argparse.ArgumentParser:
                        help="merge product of two index words")
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(func=_cmd_stuffle)
+    p.set_defaults(func=_cmd_product, product=quasi_shuffle)
 
     p = sub.add_parser("explicit", parents=[common],
                        help="closed-form product of two index words")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--form", choices=("b", "e"), default="e",
+    p.add_argument("--form", choices=_CLOSED_FORMS, default="e",
                    help="plain (b) or quotient (e) mark coordinates")
-    p.set_defaults(func=_cmd_explicit)
+    p.set_defaults(func=_cmd_product, product=None)
 
     p = sub.add_parser("perm-form", parents=[common],
                        help="b-form product via shuffle permutations")
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(func=_cmd_perm_form)
+    p.set_defaults(func=_cmd_product, product=perm_product_b)
 
     p = sub.add_parser("euler", parents=[common],
                        help="two-term decomposition of a depth-1 product")

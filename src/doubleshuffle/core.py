@@ -9,7 +9,6 @@ equality is exact as well.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -42,10 +41,6 @@ class GroupElement:
         g = math.gcd(num, den)
         self.num = num // g
         self.den = den // g
-
-    @property
-    def angle(self) -> Fraction:
-        return Fraction(self.num, self.den)
 
     @property
     def order(self) -> int:
@@ -83,6 +78,10 @@ class GroupElement:
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))
+
+    def __lt__(self, other: "GroupElement") -> bool:
+        """Order by angle, compared exactly by cross-multiplication."""
+        return self.num * other.den < other.num * self.den
 
     def __repr__(self) -> str:
         return f"GroupElement({self.num}, {self.den})"
@@ -136,8 +135,8 @@ class Letter:
 
     def sort_key(self):
         if self.mark is None:
-            return (0, Fraction(0))
-        return (1, self.mark.angle)
+            return (0,)
+        return (1, self.mark)
 
 
 X0 = Letter(None)
@@ -266,7 +265,7 @@ class IndexedWord:
         return f"({exps}|{marks})"
 
     def sort_key(self):
-        return (self.exponents, tuple(b.angle for b in self.marks))
+        return (self.exponents, self.marks)
 
 
 class LinComb:

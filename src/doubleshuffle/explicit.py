@@ -20,7 +20,8 @@ from itertools import combinations
 from math import comb
 from typing import Iterator
 
-from .core import DomainError, GroupElement, IndexedWord, LinComb, binomial
+from .core import (ONE, DomainError, GroupElement, IndexedWord, LinComb,
+                   binomial)
 
 
 @dataclass(frozen=True)
@@ -65,12 +66,13 @@ class IndexPair:
     def in_phi(self, i: int) -> bool:
         return bool(self.phi_mask >> (i - 1) & 1)
 
-    def phi_index(self, i: int) -> int:
-        """j with phi(j) = i, assuming i lies in the phi image (1-based)."""
-        return (self.phi_mask & ((1 << i) - 1)).bit_count()
-
-    def psi_index(self, i: int) -> int:
-        return i - (self.phi_mask & ((1 << i) - 1)).bit_count()
+    def route(self, a, b) -> tuple:
+        """The k+l target positions in order, holding a_j at phi(j) and b_j
+        at psi(j); ``a`` and ``b`` must have k and l entries."""
+        ia, ib = iter(a), iter(b)
+        mask = self.phi_mask
+        return tuple([next(ia) if mask >> i & 1 else next(ib)
+                      for i in range(self.k + self.l)])
 
 
 def enum_index_pairs(k: int, l: int) -> Iterator[IndexPair]:
@@ -101,9 +103,7 @@ def h_value(pair: IndexPair, r: tuple[int, ...], s: tuple[int, ...], i: int) -> 
     """The exponent routed to position i: r_j if i = phi(j), s_j if i = psi(j)."""
     if not 1 <= i <= pair.k + pair.l:
         raise DomainError(f"position {i} out of range 1..{pair.k + pair.l}")
-    if pair.in_phi(i):
-        return r[pair.phi_index(i) - 1]
-    return s[pair.psi_index(i) - 1]
+    return pair.route(r, s)[i - 1]
 
 
 def epsilon(pair: IndexPair, i: int) -> int:
@@ -131,7 +131,7 @@ def coeff_factor(pair: IndexPair, r: tuple[int, ...], s: tuple[int, ...],
 def coeff(pair: IndexPair, r: tuple[int, ...], s: tuple[int, ...],
           t: tuple[int, ...]) -> int:
     """Product of all position factors; the expansion coefficient of t."""
-    h, eps = _routing(pair, r, s)
+    h, eps = pair.route(r, s), _sources(pair)
     c = 1
     tsum = hsum = 0
     for i, ti in enumerate(t):
@@ -154,7 +154,7 @@ def coeff_nonzero(pair: IndexPair, r: tuple[int, ...], s: tuple[int, ...],
     Same-source positions need t_i >= h_i; at a source switch the prefix
     sums must satisfy T_i >= H_i > T_{i-1}.
     """
-    h, eps = _routing(pair, r, s)
+    h, eps = pair.route(r, s), _sources(pair)
     tsum = hsum = 0
     prev_tsum = 0
     for i, ti in enumerate(t):
@@ -175,16 +175,7 @@ def merge_marks_b(pair: IndexPair, a: tuple[GroupElement, ...],
     """Route the two mark vectors into target positions: a_j at phi(j), b_j at psi(j)."""
     if len(a) != pair.k or len(b) != pair.l:
         raise DomainError("mark vectors do not match the arity of the pair")
-    out = []
-    ja = jb = 0
-    for i in range(1, pair.k + pair.l + 1):
-        if pair.in_phi(i):
-            out.append(a[ja])
-            ja += 1
-        else:
-            out.append(b[jb])
-            jb += 1
-    return tuple(out)
+    return pair.route(a, b)
 
 
 def merge_marks_e(pair: IndexPair, w: tuple[GroupElement, ...],
@@ -194,47 +185,19 @@ def merge_marks_e(pair: IndexPair, w: tuple[GroupElement, ...],
     """
     if len(w) != pair.k or len(z) != pair.l:
         raise DomainError("mark vectors do not match the arity of the pair")
-    # 1-based prefix products; index 0 is the identity.
-    wp = [GroupElement(0, 1)]
-    for x in w:
-        wp.append(wp[-1] * x)
-    zp = [GroupElement(0, 1)]
-    for x in z:
-        zp.append(zp[-1] * x)
+    sources = _sources(pair)
+    prod = {True: ONE, False: ONE}  # product of each source's marks so far
     out = []
-    for i in range(1, pair.k + pair.l + 1):
-        if pair.in_phi(i):
-            j = pair.phi_index(i)
-            if i == 1 or pair.in_phi(i - 1):
-                out.append(w[j - 1])
-            else:
-                out.append(wp[j] / zp[i - j])
-        else:
-            j = pair.psi_index(i)
-            if i == 1 or not pair.in_phi(i - 1):
-                out.append(z[j - 1])
-            else:
-                out.append(zp[j] / wp[i - j])
+    for i, (mark, src) in enumerate(zip(pair.route(w, z), sources)):
+        prod[src] *= mark
+        switch = i and sources[i - 1] != src
+        out.append(prod[src] / prod[not src] if switch else mark)
     return tuple(out)
 
 
-def _routing(pair: IndexPair, r: tuple[int, ...],
-             s: tuple[int, ...]) -> tuple[list[int], list[bool]]:
-    """Per-position exponent h and source flag (True on the phi image)."""
-    h: list[int] = []
-    eps: list[bool] = []
-    jr = js = 0
-    mask = pair.phi_mask
-    for i in range(pair.k + pair.l):
-        if mask >> i & 1:
-            h.append(r[jr])
-            jr += 1
-            eps.append(True)
-        else:
-            h.append(s[js])
-            js += 1
-            eps.append(False)
-    return h, eps
+def _sources(pair: IndexPair) -> tuple[bool, ...]:
+    """Per-position source flag: True on the phi image."""
+    return pair.route((True,) * pair.k, (False,) * pair.l)
 
 
 def _walk(pair: IndexPair, r: tuple[int, ...],
@@ -254,7 +217,7 @@ def _walk(pair: IndexPair, r: tuple[int, ...],
     throughout), and every visited prefix extends to a term.  The
     coefficient is a running product, one binomial per position.
     """
-    h, eps = _routing(pair, r, s)
+    h, eps = pair.route(r, s), _sources(pair)
     last = len(h) - 1
     while last and eps[last - 1] == eps[-1]:
         last -= 1
@@ -328,13 +291,8 @@ def explicit_product_e(mu: IndexedWord, nu: IndexedWord) -> LinComb:
 def sigma_of_pair(pair: IndexPair) -> tuple[int, ...]:
     """The permutation with sigma(i) = phi^{-1}(i) on the phi image and
     k + psi^{-1}(i) on the psi image; inverse of :func:`pair_of_sigma`."""
-    out = []
-    for i in range(1, pair.k + pair.l + 1):
-        if pair.in_phi(i):
-            out.append(pair.phi_index(i))
-        else:
-            out.append(pair.k + pair.psi_index(i))
-    return tuple(out)
+    return pair.route(range(1, pair.k + 1),
+                      range(pair.k + 1, pair.k + pair.l + 1))
 
 
 def pair_of_sigma(sigma: tuple[int, ...], k: int) -> IndexPair:

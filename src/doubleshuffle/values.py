@@ -16,7 +16,7 @@ explicit tail estimate; see :func:`mpl_numeric`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product as iter_product
 
@@ -82,16 +82,14 @@ def euler_relation(r: int, s: int) -> Relation:
         zeta(r) zeta(s) = sum_k C(r+k-1, k) zeta(r+k, s-k)
                         + sum_k C(s+k-1, k) zeta(s+k, r-k)
 
-    built directly from the displayed sums; it must coincide with the
-    closed-form expansion of the depth-1 product (the tests enforce this).
+    This is the marked decomposition of :func:`_depth_1_1_marked` at the
+    identity mark, where every quotient of marks collapses to the identity;
+    it must coincide with the closed-form expansion of the depth-1 product
+    (the tests enforce this).
     """
     if r < 2 or s < 2:
         raise DomainError("both exponents must be >= 2")
-    return Relation("euler",
-                    (IndexedWord.from_parts((r,)), IndexedWord.from_parts((s,))),
-                    LinComb((IndexedWord.from_parts((p + k, q - k)),
-                             binomial(p + k - 1, k))
-                            for p, q in ((r, s), (s, r)) for k in range(q)))
+    return replace(_depth_1_1_marked(r, s, ONE), kind="euler")
 
 
 def indexed_words(weight: int, depth: int, order: int = 1) -> list[IndexedWord]:
@@ -264,8 +262,7 @@ def mpl_numeric(word: IndexedWord, n_terms: int,
         raise ValueError("need at least one term")
     s1, _ = word.pairs[0]
     if s1 == 1 and not allow_conditional:
-        raise DomainError(f"{word} converges only conditionally; "
-                          "pass allow_conditional=True to sum it anyway")
+        raise DomainError(f"{word} converges only conditionally")
     n = np.arange(1, n_terms + 1, dtype=np.float64)
     acc: np.ndarray | None = None
     for s_i, mark in reversed(word.pairs):

@@ -238,6 +238,25 @@ class TestCommandLine:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--tol", "-1"),
+        ("verify", "--tol", "nan"),
+        ("verify", "--tol", "inf"),
+        ("relations", "--weight", "5", "--depth", "0", "--hoffman"),
+        ("relations", "--weight", "-3"),
+        ("relations", "--weight", "0"),
+    ])
+    def test_rejects_out_of_domain_arguments(self, capsys, tmp_path, argv):
+        stream = tmp_path / "one.jsonl"
+        stream.write_text(json.dumps(relation_to_json(
+            Relation("double-shuffle", (), LinComb.single(zw(2))))) + "\n")
+        if argv[0] == "verify":
+            argv += ("--input", str(stream))
+        code, out, err = self.run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_verify_skips_conditional_words(self, capsys, tmp_path):
         code, out, _ = self.run(capsys, "relations", "--weight", "6",
                                 "--depth", "3", "--group", "root:2",
@@ -254,6 +273,7 @@ class TestCommandLine:
         skipped = [x for x in records if "skipped" in x]
         assert skipped
         assert all("conditionally" in x["skipped"] for x in skipped)
+        assert not any("allow_conditional=" in x["skipped"] for x in skipped)
         assert all(x["passed"] for x in records if "skipped" not in x)
         code, out, _ = self.run(capsys, "verify", "--terms", "1000",
                                 "--input", str(stream))

@@ -1,6 +1,7 @@
 """Kernel types: group elements, binomials, words, linear combinations."""
 
 import math
+from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
@@ -54,6 +55,13 @@ class TestGroupElement:
             assert (a * b) in elems or (a * b).den <= n
         for a, b, c in iter_product(elems, repeat=3):
             assert (a * b) * c == a * (b * c)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_order_is_exact_angle_order(self, n):
+        elems = group_elements(n) + [GroupElement(1, 7), GroupElement(5, 11),
+                                     GroupElement(3, 8), GroupElement(7, 12)]
+        for a, b in iter_product(elems, repeat=2):
+            assert (a < b) == (Fraction(a.num, a.den) < Fraction(b.num, b.den))
 
     def test_complex_values(self):
         assert ONE.to_complex() == 1
@@ -149,6 +157,29 @@ class TestLinComb:
         assert keys == sorted(keys)
         # identity angle sorts before the half turn at equal exponents
         assert words.index(zw(2)) < words.index(IndexedWord(((2, MINUS_ONE),)))
+
+    def test_item_order_matches_angle_fractions(self):
+        marks = group_elements(12)
+        words = [IndexedWord(((s1, marks[j1]), (s2, marks[j2])))
+                 for s1, s2 in ((2, 1), (1, 2), (2, 2))
+                 for j1 in range(0, 12, 5) for j2 in range(12)]
+        words += [IndexedWord(((3, b),)) for b in marks]
+        x = LinComb((w, i + 1) for i, w in enumerate(words))
+
+        def old_key(kv):
+            w = kv[0]
+            return (w.exponents, tuple(Fraction(b.num, b.den) for b in w.marks))
+
+        assert x.items() == sorted(x.iterterms(), key=old_key)
+        letters = [Letter(None)] + [Letter(b) for b in reversed(marks)]
+        y = LinComb((ShuffleWord(p), 1) for p in iter_product(letters, repeat=2))
+
+        def old_letter_key(kv):
+            return tuple((0, Fraction(0)) if a.mark is None
+                         else (1, Fraction(a.mark.num, a.mark.den))
+                         for a in kv[0].letters)
+
+        assert y.items() == sorted(y.iterterms(), key=old_letter_key)
 
     @given(_linc, _linc, _linc)
     def test_addition_associative(self, x, y, z):

@@ -78,6 +78,19 @@ class TestRouting:
         p = pair_at(2, 1, 1, 3)
         assert [h_value(p, (5, 7), (4,), i) for i in (1, 2, 3)] == [5, 4, 7]
 
+    def test_route_places_each_source_at_its_image(self):
+        for k in range(4):
+            for l in range(4):
+                a = tuple(f"a{j}" for j in range(1, k + 1))
+                b = tuple(f"b{j}" for j in range(1, l + 1))
+                for pair in enum_index_pairs(k, l):
+                    routed = pair.route(a, b)
+                    assert len(routed) == k + l
+                    for j, i in enumerate(pair.phi_image, 1):
+                        assert routed[i - 1] == a[j - 1]
+                    for j, i in enumerate(pair.psi_image, 1):
+                        assert routed[i - 1] == b[j - 1]
+
     def test_h_out_of_range(self):
         with pytest.raises(DomainError):
             h_value(pair_at(1, 1, 1), (2,), (3,), 3)
