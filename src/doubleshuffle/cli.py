@@ -106,6 +106,8 @@ def _cmd_relations(args) -> int:
 def _cmd_verify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValueError("--tol must be finite and >= 0")
+    if args.terms < 1:
+        raise ValueError("--terms must be >= 1")
     stream = args.input if args.input is not None else sys.stdin
     failed = 0
     count = 0

@@ -10,14 +10,16 @@ with the product of values it came from.  Two flavors exist:
   vanish, e.g. the difference of the two expansions of one product.
 
 Numeric evaluation uses plain truncation of the defining nested sums with an
-explicit tail estimate; see :func:`mpl_numeric`.
+explicit tail estimate; see :func:`mpl_numeric`.  The words a relation needs
+are summed together over one trie of their shared suffixes, sweeping n in
+fixed chunks of ``CHUNK``, so memory is O(CHUNK * nodes) whatever the
+truncation N, and every value equals the one summed word by word over all N.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from itertools import product as iter_product
 
 import numpy as np
@@ -231,56 +233,150 @@ def _depth_1_1_marked(r1: int, s1: int, w1: GroupElement,
 # Numeric evaluation
 
 
-def _mark_powers(mark: GroupElement, n_terms: int) -> np.ndarray:
-    """The vector (z^1, ..., z^N) for z = exp(2 pi i num/den)."""
-    if mark.den == 1:
-        return np.ones(n_terms, dtype=np.complex128)
-    n = np.arange(1, n_terms + 1, dtype=np.int64)
-    if mark.den == 2:
-        out = np.where(n % 2 == 0, 1.0, -1.0).astype(np.complex128)
-        return out
-    angles = (mark.num * n) % mark.den
-    return np.exp(2j * np.pi * angles / mark.den)
+CHUNK = 2 ** 13
+"""Values of n summed per step of :func:`_sweep`; an evaluation holds
+O(CHUNK) numbers per trie node whatever the truncation N."""
+
+_CACHE_SIZE = 4096
+# (word, n_terms, allow_conditional) -> NumericValue, oldest entry first.
+_cache: dict[tuple[IndexedWord, int, bool], NumericValue] = {}
 
 
-@lru_cache(maxsize=4096)
 def mpl_numeric(word: IndexedWord, n_terms: int,
                 allow_conditional: bool = False) -> NumericValue:
     """Truncation of  sum_{N >= n1 > ... > nk >= 1} prod z_i^{n_i} / n_i^{s_i}.
 
-    Computed by carrying cumulative inner sums outward, O(N * depth)
-    arithmetic.  The default mode requires the leading exponent to be >= 2
-    (absolutely convergent); a leading exponent 1 with a non-identity mark is
-    only summed when ``allow_conditional`` is set, and then without a tail
-    guarantee.  The empty word evaluates to 1 exactly.
+    Evaluated by :func:`_sweep` as a trie of one word, whose nodes are its
+    suffixes: running inner sums are carried outward over fixed chunks of n,
+    so memory is O(CHUNK * nodes) whatever N is.  The default mode requires
+    the leading exponent to be >= 2 (absolutely convergent); a leading
+    exponent 1 with a non-identity mark is only summed when
+    ``allow_conditional`` is set, and then without a tail guarantee.  The
+    empty word evaluates to 1 exactly.  Values are cached per
+    ``(word, n_terms, allow_conditional)``; the 4096 most recently evaluated
+    are kept.
     """
+    return _numeric_values((word,), n_terms, allow_conditional)[0]
+
+
+def _mpl_uncached(word: IndexedWord, n_terms: int,
+                  allow_conditional: bool = False) -> NumericValue:
+    """:func:`mpl_numeric` without the value cache."""
+    _check_evaluable(word, n_terms, allow_conditional)
+    return NumericValue(_sweep([word], n_terms)[0], n_terms,
+                        _tail_estimate(word, n_terms))
+
+
+# As functools does for a cached function: the same evaluation, uncached.
+mpl_numeric.__wrapped__ = _mpl_uncached
+
+
+def _numeric_values(words, n_terms: int,
+                    allow_conditional: bool) -> list[NumericValue]:
+    """The values of ``words``, in order.  Cached ones are looked up; the
+    others are checked in order, so the first refused word raises before
+    anything is summed, and then evaluated together in one sweep."""
+    out = []
+    missing: dict[IndexedWord, None] = {}
+    for word in words:
+        val = _cache.get((word, n_terms, allow_conditional))
+        if val is None:
+            _check_evaluable(word, n_terms, allow_conditional)
+            missing[word] = None
+        out.append(val)
+    if not missing:
+        return out
+    fresh = {word: NumericValue(value, n_terms, _tail_estimate(word, n_terms))
+             for word, value in zip(missing, _sweep(list(missing), n_terms))}
+    for word, val in fresh.items():
+        if len(_cache) >= _CACHE_SIZE:
+            del _cache[next(iter(_cache))]
+        _cache[word, n_terms, allow_conditional] = val
+    return [fresh[word] if val is None else val for word, val in zip(words, out)]
+
+
+def _check_evaluable(word: IndexedWord, n_terms: int,
+                     allow_conditional: bool) -> None:
+    """Raise the error :func:`mpl_numeric` refuses ``word`` with, if any."""
     if word.depth == 0:
-        return NumericValue(1.0 + 0j, n_terms, 0.0)
+        return
     if not word.is_admissible:
         raise DomainError(f"{word} is not admissible")
     if n_terms < 1:
         raise ValueError("need at least one term")
-    s1, _ = word.pairs[0]
-    if s1 == 1 and not allow_conditional:
+    if word.pairs[0][0] == 1 and not allow_conditional:
         raise DomainError(f"{word} converges only conditionally")
-    n = np.arange(1, n_terms + 1, dtype=np.float64)
-    acc: np.ndarray | None = None
-    for s_i, mark in reversed(word.pairs):
-        base = _mark_powers(mark, n_terms) / n ** s_i
-        if acc is None:
-            term = base
-        else:
-            shifted = np.empty_like(acc)
-            shifted[0] = 0
-            shifted[1:] = acc[:-1]
-            term = base * shifted
-        acc = np.cumsum(term)
-    if s1 >= 2:
-        tail = (math.log(n_terms + 1) ** (word.depth - 1)
-                * n_terms ** (1 - s1) / (s1 - 1))
-    else:
-        tail = 0.0
-    return NumericValue(complex(acc[-1]), n_terms, tail)
+
+
+def _tail_estimate(word: IndexedWord, n_terms: int) -> float:
+    """(log(N+1))^(depth-1) N^(1-s1) / (s1-1) for a leading exponent s1 >= 2,
+    else 0."""
+    if word.depth == 0 or word.pairs[0][0] < 2:
+        return 0.0
+    s1 = word.pairs[0][0]
+    return (math.log(n_terms + 1) ** (word.depth - 1)
+            * n_terms ** (1 - s1) / (s1 - 1))
+
+
+def _sweep(words: list[IndexedWord], n_terms: int) -> list[complex]:
+    """The truncated nested sums of ``words`` in one pass over n = 1..N.
+
+    The words' suffixes form a trie: node ``pairs[i:]`` has the inner child
+    ``pairs[i+1:]``, so words sharing a suffix share its partial sums.  A
+    node's running sum A(n) grows by its base z^n / n^s times the inner
+    node's A(n-1).  Each chunk of n builds every distinct base once and then
+    updates the nodes innermost first.  Slot 0 of a node's row carries A at
+    the chunk boundary, so one ``cumsum`` over the row adds the terms in
+    plain sequential order, and a chunked value equals the value summed over
+    all N at once.  Nodes whose marks are all +-1 are summed in float64.
+    """
+    index: dict[tuple, int] = {}
+    nodes: list[tuple[int, GroupElement, int]] = []  # (s, mark, inner or -1)
+    real: list[bool] = []
+    roots = []
+    for word in words:
+        inner = -1
+        for i in range(word.depth - 1, -1, -1):
+            node = index.get(word.pairs[i:])
+            if node is None:
+                s, mark = word.pairs[i]
+                node = index[word.pairs[i:]] = len(nodes)
+                nodes.append((s, mark, inner))
+                real.append(mark.den <= 2 and (inner < 0 or real[inner]))
+            inner = node
+        roots.append(inner)
+    if not nodes:
+        return [1.0 + 0j] * len(words)
+    width = min(CHUNK, n_terms)
+    rows = [np.zeros(width + 1, np.float64 if r else np.complex128)
+            for r in real]
+    tables = {mark.den: np.exp(2j * np.pi * np.arange(mark.den) / mark.den)
+              for _, mark, _ in nodes if mark.den > 2}
+    for start in range(0, n_terms, width):
+        length = min(width, n_terms - start)
+        k = np.arange(start + 1, start + length + 1, dtype=np.int64)
+        n = k.astype(np.float64)
+        powers: dict[int, np.ndarray] = {}
+        bases: dict[tuple[int, GroupElement], np.ndarray] = {}
+        for (s, mark, inner), row in zip(nodes, rows):
+            base = bases.get((s, mark))
+            if base is None:
+                if s not in powers:
+                    powers[s] = n ** s
+                if mark.den == 1:
+                    base = 1.0 / powers[s]
+                elif mark.den == 2:
+                    base = np.where(k % 2 == 0, 1.0, -1.0) / powers[s]
+                else:
+                    base = tables[mark.den][mark.num * k % mark.den] / powers[s]
+                bases[s, mark] = base
+            row[0] = row[width]
+            if inner < 0:
+                row[1:length + 1] = base
+            else:
+                np.multiply(base, rows[inner][:length], out=row[1:length + 1])
+            np.cumsum(row[:length + 1], out=row[:length + 1])
+    return [1.0 + 0j if r < 0 else complex(rows[r][length]) for r in roots]
 
 
 def lambda_numeric(word: IndexedWord, n_terms: int,
@@ -296,20 +392,25 @@ def verify_relation_numeric(rel: Relation, n_terms: int, tol: float,
 
     For product identities the residual is |prod(factors) - combination|;
     for zero sums it is |combination|.  The pass bound is
-    ``tol + sum |coeff| * tail_estimate`` over the combination words.
+    ``tol + sum |coeff| * tail_estimate`` over the combination words.  The
+    combination's words, then the factors, are checked in that order, and
+    the words not yet cached are evaluated in one sweep.
     """
+    terms = rel.combination.items()
+    factors = () if rel.is_zero_sum else rel.factors
+    values = _numeric_values([word for word, _ in terms] + list(factors),
+                             n_terms, allow_conditional)
     total = 0.0 + 0j
     bound = tol
-    for word, c in rel.combination.items():
-        val = mpl_numeric(word, n_terms, allow_conditional)
+    for (_, c), val in zip(terms, values):
         total += c * val.value
         bound += abs(c) * val.tail_estimate
     if rel.is_zero_sum:
         lhs = 0.0 + 0j
     else:
         lhs = 1.0 + 0j
-        for factor in rel.factors:
-            lhs *= mpl_numeric(factor, n_terms, allow_conditional).value
+        for val in values[len(terms):]:
+            lhs *= val.value
     residual = abs(lhs - total)
     return VerificationReport(residual=residual, bound=bound,
                               passed=residual <= bound, truncation_n=n_terms)

@@ -245,6 +245,8 @@ class TestCommandLine:
         ("relations", "--weight", "5", "--depth", "0", "--hoffman"),
         ("relations", "--weight", "-3"),
         ("relations", "--weight", "0"),
+        ("verify", "--terms", "0"),
+        ("verify", "--terms", "-5"),
     ])
     def test_rejects_out_of_domain_arguments(self, capsys, tmp_path, argv):
         stream = tmp_path / "one.jsonl"
@@ -256,6 +258,40 @@ class TestCommandLine:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_verify_rejects_terms_on_empty_input(self, capsys, tmp_path):
+        stream = tmp_path / "empty.jsonl"
+        stream.write_text("")
+        code, out, err = self.run(capsys, "verify", "--terms", "0",
+                                  "--input", str(stream))
+        assert (code, out) == (2, "")
+        assert err == "error: --terms must be >= 1\n"
+
+    def test_verify_skip_names_first_refused_word(self, capsys, tmp_path):
+        # Each relation holds two conditionally convergent words; the skip
+        # names the first in combination order, then factor order.
+        a = IndexedWord(((1, MINUS_ONE), (2, ONE)))
+        b = IndexedWord(((1, GroupElement(1, 3)), (3, ONE)))
+        fine = IndexedWord(((2, MINUS_ONE), (1, ONE)))
+        rels = [Relation("double-shuffle", (), LinComb([(fine, 2), (b, -1), (a, 3)])),
+                Relation("product", (b, a), LinComb.single(fine)),
+                Relation("product", (fine, a), LinComb([(b, 1), (fine, 2)]))]
+        stream = tmp_path / "conditional.jsonl"
+        stream.write_text("".join(json.dumps(relation_to_json(r)) + "\n"
+                                  for r in rels))
+        named = ["(1,2|1/2,0/1)", "(1,3|1/3,0/1)", "(1,3|1/3,0/1)"]
+        reasons = [f"{w} converges only conditionally" for w in named]
+        code, out, _ = self.run(capsys, "verify", "--terms", "1000",
+                                "--input", str(stream))
+        assert code == 0
+        assert out.splitlines() == [
+            f"skip {r.label} ({why})" for r, why in zip(rels, reasons)
+        ] + ["0/0 relations verified, 3 skipped"]
+        code, out, _ = self.run(capsys, "verify", "--terms", "1000",
+                                "--format", "json", "--input", str(stream))
+        assert code == 0
+        assert [json.loads(x) for x in out.splitlines()] == [
+            {"label": r.label, "skipped": why} for r, why in zip(rels, reasons)]
 
     def test_verify_skips_conditional_words(self, capsys, tmp_path):
         code, out, _ = self.run(capsys, "relations", "--weight", "6",

@@ -1,18 +1,20 @@
 """Relation generators and truncated-sum verification."""
 
 import math
+import tracemalloc
 
 import pytest
 
-from doubleshuffle import (MINUS_ONE, ONE, DomainError, IndexedWord, LinComb,
-                           Relation, binomial, double_shuffle_relations,
-                           euler_relation, explicit_product_e,
-                           hoffman_difference, lambda_numeric, mpl_numeric,
-                           quasi_shuffle, theta, verify_relation_numeric,
-                           worked_examples)
-from doubleshuffle.values import admissible_words
+from doubleshuffle import (MINUS_ONE, ONE, DomainError, GroupElement,
+                           IndexedWord, LinComb, Relation, binomial,
+                           double_shuffle_relations, euler_relation,
+                           explicit_product_e, hoffman_difference,
+                           lambda_numeric, mpl_numeric, quasi_shuffle, theta,
+                           values, verify_relation_numeric, worked_examples)
+from doubleshuffle.values import CHUNK, admissible_words
 
-from helpers import zw
+from bruteforce import loop_mpl, loop_partial_sums
+from helpers import mw, zw
 
 N = 100_000
 
@@ -160,6 +162,59 @@ class TestNumeric:
         direct = sum(z[0] ** n / n ** 2 for n in range(1, 10_001))
         assert abs(via_transform.value - direct) < 1e-8
         assert lambda_numeric(IndexedWord(), 10).value == 1.0
+
+
+ORACLE_WORDS = [w for order in (1, 2, 3) for k in range(1, 7)
+                for w in admissible_words(k, k, order)]
+ORACLE_N = (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5)
+
+
+@pytest.fixture(scope="module")
+def oracle_values():
+    """N -> the per-word loop's value of every oracle word truncated at N,
+    read off one loop over n <= max(ORACLE_N) per word."""
+    at = [n - 1 for n in ORACLE_N]
+    table = [loop_partial_sums(w, max(ORACLE_N))[at] for w in ORACLE_WORDS]
+    return {n: [complex(row[i]) for row in table]
+            for i, n in enumerate(ORACLE_N)}
+
+
+class TestSweep:
+    """The chunked suffix-trie sweep against the per-word loop, exactly."""
+
+    @pytest.mark.parametrize("n_terms", ORACLE_N)
+    def test_matches_per_word_loop(self, n_terms, oracle_values):
+        assert values._sweep(ORACLE_WORDS, n_terms) == oracle_values[n_terms]
+
+    def test_shared_suffixes_in_one_call_then_cached(self, monkeypatch):
+        third = GroupElement(1, 3)
+        words = [zw(2, 1, 1), zw(3, 1, 1), mw((1, 1), (MINUS_ONE, ONE)),
+                 zw(2, 1, 1), mw((2, 1, 1), (third, ONE, ONE)),
+                 mw((1, 2, 1), (MINUS_ONE, third, ONE)),
+                 mw((3, 2, 1), (third, third, ONE)), IndexedWord(), zw(4)]
+        n_terms = 2 * CHUNK + 3
+        monkeypatch.setattr(values, "_cache", {})
+        got = values._numeric_values(words, n_terms, allow_conditional=True)
+        assert [v.value for v in got] == [
+            loop_mpl(w, n_terms) if w.depth else 1.0 for w in words]
+        assert len(values._cache) == len(set(words))
+
+        def no_sweep(*args):
+            raise AssertionError("a cached value was summed again")
+        monkeypatch.setattr(values, "_sweep", no_sweep)
+        assert values._numeric_values(words, n_terms, True) == got
+        assert [mpl_numeric(w, n_terms, True) for w in words] == got
+
+    def test_memory_bounded_in_truncation(self):
+        third = GroupElement(1, 3)
+        word = mw((3, 1, 2, 1), (third, ONE, third * third, third))
+        tracemalloc.start()
+        try:
+            values._sweep([word], 10 ** 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 class TestVerification:
