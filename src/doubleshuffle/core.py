@@ -265,7 +265,8 @@ class IndexedWord:
         return f"({exps}|{marks})"
 
     def sort_key(self):
-        return (self.exponents, self.marks)
+        """``(exponents, marks)``, transposed in one pass."""
+        return tuple(zip(*self.pairs)) or ((), ())
 
 
 class LinComb:

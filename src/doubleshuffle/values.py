@@ -238,7 +238,7 @@ CHUNK = 2 ** 13
 O(CHUNK) numbers per trie node whatever the truncation N."""
 
 _CACHE_SIZE = 4096
-# (word, n_terms, allow_conditional) -> NumericValue, oldest entry first.
+# (word, n_terms, allow_conditional) -> NumericValue, least recently used first.
 _cache: dict[tuple[IndexedWord, int, bool], NumericValue] = {}
 
 
@@ -253,59 +253,79 @@ def mpl_numeric(word: IndexedWord, n_terms: int,
     exponent 1 with a non-identity mark is only summed when
     ``allow_conditional`` is set, and then without a tail guarantee.  The
     empty word evaluates to 1 exactly.  Values are cached per
-    ``(word, n_terms, allow_conditional)``; the 4096 most recently evaluated
-    are kept.
+    ``(word, n_terms, allow_conditional)``; the 4096 most recently used are
+    kept.
     """
-    return _numeric_values((word,), n_terms, allow_conditional)[0]
+    key = (word, n_terms, allow_conditional)
+    val = _cache.pop(key, None)
+    if val is None:
+        val = _evaluate(word, n_terms, allow_conditional)
+        _store(key, val)
+    else:
+        _cache[key] = val
+    return val
 
 
-def _mpl_uncached(word: IndexedWord, n_terms: int,
-                  allow_conditional: bool = False) -> NumericValue:
+def _evaluate(word: IndexedWord, n_terms: int,
+              allow_conditional: bool) -> NumericValue:
     """:func:`mpl_numeric` without the value cache."""
-    _check_evaluable(word, n_terms, allow_conditional)
+    error = _refusal(word, n_terms, allow_conditional)
+    if error is not None:
+        raise error
     return NumericValue(_sweep([word], n_terms)[0], n_terms,
                         _tail_estimate(word, n_terms))
 
 
-# As functools does for a cached function: the same evaluation, uncached.
-mpl_numeric.__wrapped__ = _mpl_uncached
+# Only perfbench/selfcheck.py reads this: it swaps the uncached evaluation
+# in for mpl_numeric, under the name functools gives it on a cached function.
+mpl_numeric.__wrapped__ = _evaluate
 
 
-def _numeric_values(words, n_terms: int,
-                    allow_conditional: bool) -> list[NumericValue]:
-    """The values of ``words``, in order.  Cached ones are looked up; the
-    others are checked in order, so the first refused word raises before
-    anything is summed, and then evaluated together in one sweep."""
-    out = []
+def _store(key: tuple[IndexedWord, int, bool], val: NumericValue) -> None:
+    """Cache ``val`` as the most recently used value, evicting the least."""
+    if len(_cache) >= _CACHE_SIZE:
+        del _cache[next(iter(_cache))]
+    _cache[key] = val
+
+
+def _prefill(words, n_terms: int, allow_conditional: bool) -> None:
+    """Cache the values of ``words`` in one sweep, so that the
+    :func:`mpl_numeric` calls that follow, in the same order, all hit.
+
+    Summing stops at the first word :func:`mpl_numeric` refuses: the
+    uncached words before it are cached, as the calls before the refusing
+    one would cache them, and none after it are summed.  A cached word is stored again under the caller's word object, which makes
+    it the most recently used and lets the following lookup match by
+    identity instead of comparing the pairs.
+    """
     missing: dict[IndexedWord, None] = {}
     for word in words:
-        val = _cache.get((word, n_terms, allow_conditional))
-        if val is None:
-            _check_evaluable(word, n_terms, allow_conditional)
+        key = (word, n_terms, allow_conditional)
+        val = _cache.pop(key, None)
+        if val is not None:
+            _cache[key] = val
+        elif _refusal(word, n_terms, allow_conditional) is not None:
+            break
+        else:
             missing[word] = None
-        out.append(val)
-    if not missing:
-        return out
-    fresh = {word: NumericValue(value, n_terms, _tail_estimate(word, n_terms))
-             for word, value in zip(missing, _sweep(list(missing), n_terms))}
-    for word, val in fresh.items():
-        if len(_cache) >= _CACHE_SIZE:
-            del _cache[next(iter(_cache))]
-        _cache[word, n_terms, allow_conditional] = val
-    return [fresh[word] if val is None else val for word, val in zip(words, out)]
+    if missing:
+        for word, value in zip(missing, _sweep(list(missing), n_terms)):
+            _store((word, n_terms, allow_conditional),
+                   NumericValue(value, n_terms, _tail_estimate(word, n_terms)))
 
 
-def _check_evaluable(word: IndexedWord, n_terms: int,
-                     allow_conditional: bool) -> None:
-    """Raise the error :func:`mpl_numeric` refuses ``word`` with, if any."""
+def _refusal(word: IndexedWord, n_terms: int,
+             allow_conditional: bool) -> Exception | None:
+    """The error :func:`mpl_numeric` refuses ``word`` with, if any."""
     if word.depth == 0:
-        return
+        return None
     if not word.is_admissible:
-        raise DomainError(f"{word} is not admissible")
+        return DomainError(f"{word} is not admissible")
     if n_terms < 1:
-        raise ValueError("need at least one term")
+        return ValueError("need at least one term")
     if word.pairs[0][0] == 1 and not allow_conditional:
-        raise DomainError(f"{word} converges only conditionally")
+        return DomainError(f"{word} converges only conditionally")
+    return None
 
 
 def _tail_estimate(word: IndexedWord, n_terms: int) -> float:
@@ -393,24 +413,24 @@ def verify_relation_numeric(rel: Relation, n_terms: int, tol: float,
     For product identities the residual is |prod(factors) - combination|;
     for zero sums it is |combination|.  The pass bound is
     ``tol + sum |coeff| * tail_estimate`` over the combination words.  The
-    combination's words, then the factors, are checked in that order, and
-    the words not yet cached are evaluated in one sweep.
+    words not yet cached are first summed together in one sweep.
     """
     terms = rel.combination.items()
     factors = () if rel.is_zero_sum else rel.factors
-    values = _numeric_values([word for word, _ in terms] + list(factors),
-                             n_terms, allow_conditional)
+    _prefill([word for word, _ in terms] + list(factors), n_terms,
+             allow_conditional)
     total = 0.0 + 0j
     bound = tol
-    for (_, c), val in zip(terms, values):
+    for word, c in terms:
+        val = mpl_numeric(word, n_terms, allow_conditional)
         total += c * val.value
         bound += abs(c) * val.tail_estimate
     if rel.is_zero_sum:
         lhs = 0.0 + 0j
     else:
         lhs = 1.0 + 0j
-        for val in values[len(terms):]:
-            lhs *= val.value
+        for factor in factors:
+            lhs *= mpl_numeric(factor, n_terms, allow_conditional).value
     residual = abs(lhs - total)
     return VerificationReport(residual=residual, bound=bound,
                               passed=residual <= bound, truncation_n=n_terms)

@@ -181,6 +181,12 @@ class TestLinComb:
 
         assert y.items() == sorted(y.iterterms(), key=old_letter_key)
 
+    def test_sort_key_is_exponents_then_marks(self):
+        third = GroupElement(1, 3)
+        for w in (IndexedWord(), zw(2), IndexedWord(((2, third), (1, ONE))),
+                  IndexedWord(((1, MINUS_ONE), (3, third), (2, ONE)))):
+            assert w.sort_key() == (w.exponents, w.marks)
+
     @given(_linc, _linc, _linc)
     def test_addition_associative(self, x, y, z):
         assert (x + y) + z == x + (y + z)

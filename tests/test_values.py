@@ -194,16 +194,32 @@ class TestSweep:
                  mw((3, 2, 1), (third, third, ONE)), IndexedWord(), zw(4)]
         n_terms = 2 * CHUNK + 3
         monkeypatch.setattr(values, "_cache", {})
-        got = values._numeric_values(words, n_terms, allow_conditional=True)
+        sweeps = []
+        real_sweep = values._sweep
+        monkeypatch.setattr(values, "_sweep",
+                            lambda ws, n: sweeps.append(ws) or real_sweep(ws, n))
+        values._prefill(words, n_terms, allow_conditional=True)
+        assert len(sweeps) == 1 and len(values._cache) == len(set(words))
+        got = [mpl_numeric(w, n_terms, True) for w in words]
         assert [v.value for v in got] == [
             loop_mpl(w, n_terms) if w.depth else 1.0 for w in words]
-        assert len(values._cache) == len(set(words))
+        assert len(sweeps) == 1, "a cached value was summed again"
+        values._prefill(words, n_terms, True)
+        assert len(sweeps) == 1
 
-        def no_sweep(*args):
-            raise AssertionError("a cached value was summed again")
-        monkeypatch.setattr(values, "_sweep", no_sweep)
-        assert values._numeric_values(words, n_terms, True) == got
-        assert [mpl_numeric(w, n_terms, True) for w in words] == got
+    def test_cache_keeps_the_most_recently_used(self, monkeypatch):
+        monkeypatch.setattr(values, "_cache", {})
+        monkeypatch.setattr(values, "_CACHE_SIZE", 3)
+        a, b, c, d = zw(2), zw(3), zw(4), zw(5)
+        for w in (a, b, c, a, d):  # the hit on a makes b the oldest
+            mpl_numeric(w, 10)
+        assert [key[0] for key in values._cache] == [c, a, d]
+
+    def test_prefill_stops_at_the_first_refused_word(self, monkeypatch):
+        monkeypatch.setattr(values, "_cache", {})
+        words = [zw(2), mw((1, 2), (MINUS_ONE, ONE)), zw(3)]
+        values._prefill(words, 100, allow_conditional=False)
+        assert [key[0] for key in values._cache] == [zw(2)]
 
     def test_memory_bounded_in_truncation(self):
         third = GroupElement(1, 3)
@@ -247,6 +263,15 @@ class TestVerification:
                          LinComb.single(zw(2)))
         report = verify_relation_numeric(bogus, N, 1e-3)
         assert not report.passed
+
+    def test_every_word_goes_through_mpl_numeric(self, monkeypatch):
+        rel = euler_relation(2, 3)
+        seen = []
+        real = values.mpl_numeric
+        monkeypatch.setattr(values, "mpl_numeric",
+                            lambda w, n, a: seen.append(w) or real(w, n, a))
+        verify_relation_numeric(rel, 1000, 1e-3)
+        assert seen == [w for w, _ in rel.combination.items()] + list(rel.factors)
 
     def test_inevaluable_word_raises(self):
         bad = Relation("double-shuffle", (), LinComb.single(zw(1, 2)))
