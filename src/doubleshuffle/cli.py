@@ -15,12 +15,10 @@ from .core import DomainError, LinComb
 from .explicit import explicit_product_b, explicit_product_e, perm_product_b
 from .maps import rho
 from .recursive import quasi_shuffle, shuffle
-from .textio import (WordSyntaxError, format_lincomb, lincomb_to_json,
+from .textio import (JsonLinesWriter, WordSyntaxError, format_lincomb,
                      lincomb_to_latex, parse_indexed_word, parse_shuffle_word,
-                     relation_from_json, relation_to_json, relation_to_latex)
-from .values import (Relation, admissible_words, double_shuffle_relations,
-                     euler_relation, hoffman_difference,
-                     verify_relation_numeric)
+                     relation_from_json, relation_to_latex)
+from .values import euler_relation, relation_stream, verify_relation_numeric
 
 
 def _group_order(name: str) -> int:
@@ -38,20 +36,23 @@ def _group_order(name: str) -> int:
 
 def _print_lincomb(lc: LinComb, args) -> None:
     if args.format == "json":
-        print(json.dumps(lincomb_to_json(lc)))
+        print(JsonLinesWriter().lincomb(lc))
     elif args.format == "latex":
         print(lincomb_to_latex(lc, args.group))
     else:
         print(format_lincomb(lc))
 
 
-def _print_relation(rel: Relation, args) -> None:
-    if args.format == "json":
-        print(json.dumps(relation_to_json(rel)))
-    elif args.format == "latex":
-        print(relation_to_latex(rel, args.group))
-    else:
-        print(f"{rel.label}: {format_lincomb(rel.combination)}")
+def _print_relations(rels, args) -> None:
+    """Print each relation as the iterable yields it."""
+    writer = JsonLinesWriter()
+    for rel in rels:
+        if args.format == "json":
+            print(writer.relation(rel))
+        elif args.format == "latex":
+            print(relation_to_latex(rel, args.group))
+        else:
+            print(f"{rel.label}: {format_lincomb(rel.combination)}")
 
 
 def _cmd_shuffle(args) -> int:
@@ -84,7 +85,7 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_euler(args) -> int:
-    _print_relation(euler_relation(args.r, args.s), args)
+    _print_relations([euler_relation(args.r, args.s)], args)
     return 0
 
 
@@ -92,14 +93,8 @@ def _cmd_relations(args) -> int:
     if args.weight < 1 or args.depth < 1:
         raise ValueError("--weight and --depth must be >= 1")
     order = _group_order(args.group)
-    rels = double_shuffle_relations(args.weight, args.depth, order)
-    if args.hoffman:
-        for nu in admissible_words(args.weight - 1, max(args.depth - 1, 1), order):
-            rel = hoffman_difference(nu)
-            if rel.combination:
-                rels.append(rel)
-    for rel in rels:
-        _print_relation(rel, args)
+    _print_relations(relation_stream(args.weight, args.depth, order,
+                                     hoffman=args.hoffman), args)
     return 0
 
 

@@ -2,8 +2,8 @@
 
 Everything in this module is an immutable value with structural equality.
 Coefficients are plain Python ints, so linear combinations stay exact at any
-weight; group marks are stored as reduced fractions of a full turn, so word
-equality is exact as well.
+weight; group marks are reduced fractions of a full turn with one interned
+instance per angle, so word equality is exact as well.
 """
 
 from __future__ import annotations
@@ -27,20 +27,35 @@ def binomial(a: int, b: int) -> int:
 class GroupElement:
     """A root of unity exp(2*pi*i * num/den).
 
-    The angle num/den is kept reduced with 0 <= num < den, so equal group
-    elements compare and hash equally.  Multiplication adds angles mod 1;
-    every element has finite order.
+    The angle num/den is kept reduced with 0 <= num < den, and each angle
+    has one interned instance, so equality and hashing are identity (done
+    in C, also inside the tuple hashes of words).  Multiplication adds
+    angles mod 1; every element has finite order.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: int, den: int = 1) -> None:
+    # (num, den) in lowest terms -> the one instance of that angle.
+    _interned: dict[tuple[int, int], "GroupElement"] = {}
+
+    def __new__(cls, num: int, den: int = 1) -> "GroupElement":
         if den <= 0:
             raise ValueError("denominator must be positive")
         num %= den
         g = math.gcd(num, den)
-        self.num = num // g
-        self.den = den // g
+        key = (num // g, den // g)
+        self = cls._interned.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            self.num, self.den = key
+            # setdefault: a racing thread's instance wins, never a second one
+            self = cls._interned.setdefault(key, self)
+        return self
+
+    def __reduce__(self):
+        """Pickle and copy through the constructor, which returns the
+        interned instance."""
+        return GroupElement, (self.num, self.den)
 
     @property
     def order(self) -> int:
@@ -71,13 +86,6 @@ class GroupElement:
             return 1j if self.num == 1 else -1j
         return complex(math.cos(2 * math.pi * self.num / self.den),
                        math.sin(2 * math.pi * self.num / self.den))
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, GroupElement)
-                and self.num == other.num and self.den == other.den)
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
 
     def __lt__(self, other: "GroupElement") -> bool:
         """Order by angle, compared exactly by cross-multiplication."""

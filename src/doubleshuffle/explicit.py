@@ -16,6 +16,7 @@ terms of shuffle permutations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Iterator
@@ -242,6 +243,16 @@ def _walk(pair: IndexPair, r: tuple[int, ...],
     return walk(0, 0, (), 1)
 
 
+@lru_cache(maxsize=1)
+def _shape_walks(r: tuple[int, ...], s: tuple[int, ...]
+                 ) -> tuple[tuple[IndexPair, tuple], ...]:
+    """Every index pair with its walked ``(t, c)`` terms, for one pair of
+    exponent vectors.  The marks play no part, so the mark variants of one
+    shape, which the relation loops visit back to back, walk once."""
+    return tuple((pair, tuple(_walk(pair, r, s)))
+                 for pair in enum_index_pairs(len(r), len(s)))
+
+
 def _closed_form_terms(mu: IndexedWord, nu: IndexedWord, merge,
                        perm_form: bool = False
                        ) -> Iterator[tuple[IndexedWord, int]]:
@@ -254,15 +265,15 @@ def _closed_form_terms(mu: IndexedWord, nu: IndexedWord, merge,
     """
     r, a = mu.exponents, mu.marks
     s, b = nu.exponents, nu.marks
-    k, l = len(r), len(s)
-    if k == 0 and l == 0:
+    k = len(r)
+    if not r and not s:
         yield IndexedWord(), 1
         return
     kappa = r + s
-    for pair in enum_index_pairs(k, l):
+    for pair, walked in _shape_walks(r, s):
         marks = merge(pair, a, b)
         sigma = sigma_of_pair(pair) if perm_form else None
-        for t, c in _walk(pair, r, s):
+        for t, c in walked:
             if perm_form:
                 c = _perm_coeff_fast(sigma, kappa, k, t)
             yield IndexedWord(tuple(zip(t, marks))), c

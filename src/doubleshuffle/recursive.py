@@ -2,19 +2,24 @@
 
 These recursions are the reference implementations ("oracle path") that the
 closed-form expansion in :mod:`doubleshuffle.explicit` is checked against.
-Both recursions are memoized on the word pair; repeated subproblems dominate
-the cost from weight ~12 on, and the cache is idempotent so sharing it
-between threads is safe.
+Both recursions are memoized on the word pair in a bounded least-recently-used
+table (``cache_info()`` reports its use); repeated subproblems dominate the
+cost from weight ~12 on, and the cache is idempotent so sharing it between
+threads is safe.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import lru_cache
 
 from .core import DomainError, GroupElement, IndexedWord, LinComb, ShuffleWord
 
+# Entries kept per memo; the largest table a perfbench workload fills
+# (relations-roots) holds 6,586, so none of them evicts.
+_MEMO_SIZE = 2 ** 15
 
-@cache
+
+@lru_cache(maxsize=_MEMO_SIZE)
 def shuffle(u: ShuffleWord, v: ShuffleWord) -> LinComb:
     """All interleavings of ``u`` and ``v``, each keeping its letter order.
 
@@ -34,7 +39,7 @@ def shuffle(u: ShuffleWord, v: ShuffleWord) -> LinComb:
                    for w, c in shuffle(left, right).iterterms())
 
 
-@cache
+@lru_cache(maxsize=_MEMO_SIZE)
 def quasi_shuffle(mu: IndexedWord, nu: IndexedWord) -> LinComb:
     """Interleavings where the two leading pairs may also merge into one.
 

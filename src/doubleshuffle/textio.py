@@ -15,6 +15,8 @@ round trip.
 
 from __future__ import annotations
 
+import json
+
 from .core import GroupElement, IndexedWord, Letter, LinComb, ShuffleWord
 from .values import PRODUCT_KINDS, ZERO_SUM_KINDS, Relation
 
@@ -230,6 +232,40 @@ def relation_to_json(rel: Relation) -> dict:
     return {"kind": rel.kind,
             "factors": [word_to_json(w) for w in rel.factors],
             "terms": lincomb_to_json(rel.combination)["terms"]}
+
+
+class JsonLinesWriter:
+    """Formats combinations and relations as the JSON lines that
+    ``json.dumps`` of :func:`lincomb_to_json` and :func:`relation_to_json`
+    would give, formatting each distinct word once.
+
+    A word's fragment is ``json.dumps(word_to_json(word))`` without its
+    opening brace, so the word schema stays defined in one place; a term is
+    its coefficient entry followed by that fragment.  The memo lives as
+    long as the writer, so create one writer per command run.
+    """
+
+    def __init__(self) -> None:
+        self._fragments: dict[IndexedWord, str] = {}
+
+    def _fragment(self, word: IndexedWord) -> str:
+        text = self._fragments.get(word)
+        if text is None:
+            text = self._fragments[word] = json.dumps(word_to_json(word))[1:]
+        return text
+
+    def _terms(self, lc: LinComb) -> str:
+        fragment = self._fragment
+        return ", ".join(f'{{"coeff": {json.dumps(str(c))}, {fragment(w)}'
+                         for w, c in lc.items())
+
+    def lincomb(self, lc: LinComb) -> str:
+        return f'{{"terms": [{self._terms(lc)}]}}'
+
+    def relation(self, rel: Relation) -> str:
+        factors = ", ".join("{" + self._fragment(w) for w in rel.factors)
+        return (f'{{"kind": {json.dumps(rel.kind)}, "factors": [{factors}], '
+                f'"terms": [{self._terms(rel.combination)}]}}')
 
 
 def relation_from_json(d: dict) -> Relation:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import product as iter_product
+from typing import Iterator
 
 import numpy as np
 
@@ -113,16 +114,17 @@ def admissible_words(weight: int, max_depth: int, order: int = 1) -> list[Indexe
     return out
 
 
-def double_shuffle_relations(weight: int, depth: int, order: int = 1) -> list[Relation]:
-    """One relation per unordered pair of admissible words of combined
-    weight ``weight`` and combined depth <= ``depth``: the closed-form
-    product expansion minus the merge-product expansion.  Pairs whose two
-    expansions coincide are dropped.
+def relation_stream(weight: int, depth: int, order: int = 1,
+                    hoffman: bool = False) -> Iterator[Relation]:
+    """Yield each relation as soon as it is computed: first one per
+    unordered pair of admissible words of combined weight ``weight`` and
+    combined depth <= ``depth``, the closed-form product expansion minus the
+    merge-product expansion (pairs whose two expansions coincide are
+    dropped); then, with ``hoffman``, every nonzero
+    :func:`hoffman_difference` of an admissible word of weight ``weight - 1``
+    and depth < ``depth`` (depth 1 when ``depth`` is 1).
     """
-    if weight < 2:
-        return []
     by_weight = {w: admissible_words(w, depth, order) for w in range(1, weight)}
-    out = []
     for wa in range(1, weight // 2 + 1):
         wb = weight - wa
         words_a = by_weight[wa]
@@ -134,8 +136,17 @@ def double_shuffle_relations(weight: int, depth: int, order: int = 1) -> list[Re
                     continue
                 diff = explicit_product_e(mu, nu) - quasi_shuffle(mu, nu)
                 if diff:
-                    out.append(Relation("double-shuffle", (mu, nu), diff))
-    return out
+                    yield Relation("double-shuffle", (mu, nu), diff)
+    if hoffman:
+        for nu in admissible_words(weight - 1, max(depth - 1, 1), order):
+            rel = hoffman_difference(nu)
+            if rel.combination:
+                yield rel
+
+
+def double_shuffle_relations(weight: int, depth: int, order: int = 1) -> list[Relation]:
+    """The double-shuffle relations of :func:`relation_stream`, as a list."""
+    return list(relation_stream(weight, depth, order))
 
 
 def hoffman_difference(nu: IndexedWord) -> Relation:
@@ -370,8 +381,10 @@ def _sweep(words: list[IndexedWord], n_terms: int) -> list[complex]:
     width = min(CHUNK, n_terms)
     rows = [np.zeros(width + 1, np.float64 if r else np.complex128)
             for r in real]
+    # A per-order lookup table of the den-th roots costs O(den), so only
+    # orders up to the chunk width get one; larger ones are computed below.
     tables = {mark.den: np.exp(2j * np.pi * np.arange(mark.den) / mark.den)
-              for _, mark, _ in nodes if mark.den > 2}
+              for _, mark, _ in nodes if 2 < mark.den <= width}
     for start in range(0, n_terms, width):
         length = min(width, n_terms - start)
         k = np.arange(start + 1, start + length + 1, dtype=np.int64)
@@ -387,8 +400,11 @@ def _sweep(words: list[IndexedWord], n_terms: int) -> list[complex]:
                     base = 1.0 / powers[s]
                 elif mark.den == 2:
                     base = np.where(k % 2 == 0, 1.0, -1.0) / powers[s]
-                else:
+                elif mark.den in tables:
                     base = tables[mark.den][mark.num * k % mark.den] / powers[s]
+                else:
+                    phase = _phases(mark, start + 1, length)
+                    base = np.exp(2j * np.pi * phase / mark.den) / powers[s]
                 bases[s, mark] = base
             row[0] = row[width]
             if inner < 0:
@@ -397,6 +413,21 @@ def _sweep(words: list[IndexedWord], n_terms: int) -> list[complex]:
                 np.multiply(base, rows[inner][:length], out=row[1:length + 1])
             np.cumsum(row[:length + 1], out=row[:length + 1])
     return [1.0 + 0j if r < 0 else complex(rows[r][length]) for r in roots]
+
+
+def _phases(mark: GroupElement, first: int, length: int) -> np.ndarray:
+    """The exact residues (num * n) % den for n = first, ..., first+length-1.
+
+    The first residue is taken in Python integers; the rest add num * j to
+    it, which stays below den * length, so int64 serves whenever that
+    product fits and Python integers otherwise.
+    """
+    num, den = mark.num, mark.den
+    p0 = num * first % den
+    if den * length < 2 ** 63:
+        return (p0 + num * np.arange(length, dtype=np.int64)) % den
+    return np.array([(p0 + num * j) % den for j in range(length)],
+                    dtype=np.float64)
 
 
 def lambda_numeric(word: IndexedWord, n_terms: int,

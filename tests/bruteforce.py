@@ -73,7 +73,8 @@ def mark_powers(mark: GroupElement, n_terms: int) -> np.ndarray:
     n = np.arange(1, n_terms + 1, dtype=np.int64)
     if mark.den == 2:
         return np.where(n % 2 == 0, 1.0, -1.0).astype(np.complex128)
-    angles = (mark.num * n) % mark.den
+    angles = np.array([mark.num * m % mark.den for m in range(1, n_terms + 1)],
+                      dtype=np.float64)  # exact residues, in Python integers
     return np.exp(2j * np.pi * angles / mark.den)
 
 

@@ -11,12 +11,14 @@ import doubleshuffle
 from doubleshuffle import (MINUS_ONE, ONE, GroupElement, IndexedWord, Letter,
                            LinComb, ShuffleWord, quasi_shuffle)
 from doubleshuffle.cli import main
-from doubleshuffle.textio import (WordSyntaxError, format_lincomb,
-                                  lincomb_from_json, lincomb_to_json,
-                                  lincomb_to_latex, parse_indexed_word,
-                                  parse_shuffle_word, relation_from_json,
-                                  relation_to_json)
-from doubleshuffle.values import Relation, double_shuffle_relations
+from doubleshuffle import values
+from doubleshuffle.textio import (JsonLinesWriter, WordSyntaxError,
+                                  format_lincomb, lincomb_from_json,
+                                  lincomb_to_json, lincomb_to_latex,
+                                  parse_indexed_word, parse_shuffle_word,
+                                  relation_from_json, relation_to_json)
+from doubleshuffle.values import (Relation, double_shuffle_relations,
+                                  relation_stream)
 
 from helpers import zw
 
@@ -117,6 +119,30 @@ class TestFormatting:
         back = relation_from_json(blob)
         assert back == rel
 
+    @pytest.mark.parametrize("order", [3, 2])
+    def test_writer_lines_equal_json_dumps(self, order):
+        writer = JsonLinesWriter()
+        rels = list(relation_stream(6, 3, order, hoffman=True))
+        assert any(r.kind == "hoffman" for r in rels)
+        for rel in rels:
+            assert writer.relation(rel) == json.dumps(relation_to_json(rel))
+            assert (writer.lincomb(rel.combination)
+                    == json.dumps(lincomb_to_json(rel.combination)))
+
+    def test_writer_big_coefficients_and_edge_words(self):
+        third = GroupElement(1, 3)
+        word = IndexedWord(((2, third), (1, MINUS_ONE)))
+        lc = LinComb([(word, 2 ** 64 + 1), (zw(4), -(3 ** 50)),
+                      (IndexedWord(), 7)])
+        writer = JsonLinesWriter()
+        for rel in (Relation("product", (word, zw(2)), lc),
+                    Relation("double-shuffle", (), lc),
+                    Relation("euler", (zw(2), zw(2)), LinComb())):
+            assert writer.relation(rel) == json.dumps(relation_to_json(rel))
+            assert relation_from_json(json.loads(writer.relation(rel))) == rel
+        assert writer.lincomb(lc) == json.dumps(lincomb_to_json(lc))
+        assert writer.lincomb(LinComb()) == json.dumps(lincomb_to_json(LinComb()))
+
     def test_latex_zeta(self):
         lc = LinComb([(zw(2, 3), 1), (zw(3, 2), 3), (zw(4), -1)])
         assert lincomb_to_latex(lc) == \
@@ -150,6 +176,28 @@ class TestCommandLine:
             assert code == 0
             outputs.add(out)
         assert len(outputs) == 1
+
+    def test_relations_stream_before_the_last_product(self, monkeypatch):
+        events = []
+        product = values.explicit_product_e
+        monkeypatch.setattr(values, "explicit_product_e",
+                            lambda mu, nu: events.append("product")
+                            or product(mu, nu))
+
+        class Out:
+            def write(self, text):
+                events.append("write")
+                return len(text)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", Out())
+        code = main(["relations", "--weight", "6", "--depth", "3",
+                     "--group", "root:3", "--format", "json"])
+        assert code == 0
+        last_product = len(events) - 1 - events[::-1].index("product")
+        assert events.index("write") < last_product
 
     def test_shuffle_plain(self, capsys):
         code, out, _ = self.run(capsys, "shuffle", "0 1", "1")

@@ -1,6 +1,8 @@
 """Kernel types: group elements, binomials, words, linear combinations."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -62,6 +64,23 @@ class TestGroupElement:
                                      GroupElement(3, 8), GroupElement(7, 12)]
         for a, b in iter_product(elems, repeat=2):
             assert (a < b) == (Fraction(a.num, a.den) < Fraction(b.num, b.den))
+
+    def test_one_instance_per_angle(self):
+        assert GroupElement(2, 6) is GroupElement(1, 3)
+        assert GroupElement(-2, 3) is GroupElement(1, 3)
+        assert GroupElement(1, 3) * GroupElement(1, 3) is GroupElement(2, 3)
+        assert GroupElement(5, 5) is ONE and GroupElement(3, 6) is MINUS_ONE
+
+    def test_pickle_and_copy_return_the_interned_instance(self):
+        third = GroupElement(1, 3)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(third, protocol)) is third
+        assert copy.copy(third) is third and copy.deepcopy(third) is third
+        word = IndexedWord(((2, third), (1, ONE), (3, MINUS_ONE)))
+        clone = copy.deepcopy(word)
+        assert clone == word and hash(clone) == hash(word)
+        assert all(a is b for (_, a), (_, b) in zip(clone.pairs, word.pairs))
+        assert pickle.loads(pickle.dumps(word)) == word
 
     def test_complex_values(self):
         assert ONE.to_complex() == 1

@@ -12,9 +12,10 @@ from doubleshuffle import (MINUS_ONE, ONE, DomainError, GroupElement,
                            perm_coeff, perm_product_b, product_b, product_e,
                            sigma_of_pair)
 from doubleshuffle.core import LinComb
-from doubleshuffle.explicit import (IndexPair, _closed_form_terms, _walk, amp,
-                                    dagger, extend_phi_leading,
-                                    extend_psi_leading, restrict_phi_leading,
+from doubleshuffle.explicit import (IndexPair, _closed_form_terms,
+                                    _shape_walks, _walk, amp, dagger,
+                                    extend_phi_leading, extend_psi_leading,
+                                    restrict_phi_leading,
                                     restrict_psi_leading, sharp, star)
 from doubleshuffle.maps import theta_marks
 
@@ -394,6 +395,21 @@ class TestPrunedWalk:
             assert pw.exponents == ew.exponents
             assert pc == ec
 
+
+    def test_mixed_shape_call_sequences_match_the_oracle(self):
+        third, two_thirds = GroupElement(1, 3), GroupElement(2, 3)
+        shape_a = [(IndexedWord(((2, m1), (1, ONE))), IndexedWord(((3, m2),)))
+                   for m1, m2 in ((third, ONE), (MINUS_ONE, two_thirds))]
+        # same depths and weight as shape A, other exponents
+        shape_b = [(IndexedWord(((1, two_thirds), (3, third))),
+                    IndexedWord(((2, MINUS_ONE),)))]
+        _shape_walks.cache_clear()
+        routes = ((explicit_product_b, product_b), (explicit_product_e, product_e),
+                  (perm_product_b, product_b))
+        for mu, nu in (shape_a[0], shape_b[0], shape_a[1], shape_a[0]):
+            for closed, oracle in routes:
+                assert closed(mu, nu) == oracle(mu, nu), (closed.__name__, mu, nu)
+        assert _shape_walks.cache_info().hits > 0
 
 class TestPermutationForm:
     def test_enumeration_count(self):

@@ -11,7 +11,7 @@ from doubleshuffle import (MINUS_ONE, ONE, DomainError, GroupElement,
                            explicit_product_e, hoffman_difference,
                            lambda_numeric, mpl_numeric, quasi_shuffle, theta,
                            values, verify_relation_numeric, worked_examples)
-from doubleshuffle.values import CHUNK, admissible_words
+from doubleshuffle.values import CHUNK, admissible_words, relation_stream
 
 from bruteforce import loop_mpl, loop_partial_sums
 from helpers import mw, zw
@@ -68,6 +68,16 @@ class TestDoubleShuffleRelations:
 
     def test_deterministic(self):
         assert double_shuffle_relations(6, 3) == double_shuffle_relations(6, 3)
+
+    def test_list_of_the_stream_then_hoffman_differences(self):
+        rels = double_shuffle_relations(6, 3, order=3)
+        assert isinstance(rels, list) and rels
+        stream = relation_stream(6, 3, 3, hoffman=True)
+        assert iter(stream) is stream, "relations are yielded, not collected"
+        streamed = list(stream)
+        assert streamed[:len(rels)] == rels
+        hoffman = [hoffman_difference(nu) for nu in admissible_words(5, 2, 3)]
+        assert streamed[len(rels):] == [r for r in hoffman if r.combination]
 
     def test_sign_group_runs(self):
         rels = double_shuffle_relations(4, 2, order=2)
@@ -220,6 +230,27 @@ class TestSweep:
         words = [zw(2), mw((1, 2), (MINUS_ONE, ONE)), zw(3)]
         values._prefill(words, 100, allow_conditional=False)
         assert [key[0] for key in values._cache] == [zw(2)]
+
+    @pytest.mark.parametrize("num, den", [(999_999_999_989, 10 ** 12),
+                                          (10 ** 29 + 7, 10 ** 30)])
+    def test_large_denominator_phases_are_exact(self, num, den):
+        # num * n overflows int64 at den = 10**30; the oracle's residues
+        # are Python integers
+        mark = GroupElement(num, den)
+        word = mw((2, 1, 3), (mark, GroupElement(1, 3), mark))
+        n_terms = 2 * CHUNK + 3
+        assert values._sweep([word], n_terms) == [loop_mpl(word, n_terms)]
+
+    def test_large_denominator_needs_no_table(self):
+        word = mw((2,), (GroupElement(1, 10 ** 7),))
+        tracemalloc.start()
+        try:
+            value = values._sweep([word], 10)[0]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert value == loop_mpl(word, 10)
 
     def test_memory_bounded_in_truncation(self):
         third = GroupElement(1, 3)
