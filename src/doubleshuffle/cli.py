@@ -16,8 +16,9 @@ from .explicit import explicit_product_b, explicit_product_e, perm_product_b
 from .maps import rho
 from .recursive import quasi_shuffle, shuffle
 from .textio import (JsonLinesWriter, WordSyntaxError, format_lincomb,
-                     lincomb_to_latex, parse_indexed_word, parse_shuffle_word,
-                     relation_from_json, relation_to_latex)
+                     lincomb_to_json, lincomb_to_latex, parse_indexed_word,
+                     parse_shuffle_word, relation_from_json,
+                     relation_to_latex)
 from .values import euler_relation, relation_stream, verify_relation_numeric
 
 
@@ -36,7 +37,7 @@ def _group_order(name: str) -> int:
 
 def _print_lincomb(lc: LinComb, args) -> None:
     if args.format == "json":
-        print(JsonLinesWriter().lincomb(lc))
+        print(json.dumps(lincomb_to_json(lc)))
     elif args.format == "latex":
         print(lincomb_to_latex(lc, args.group))
     else:

@@ -9,6 +9,8 @@ instance per angle, so word equality is exact as well.
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -28,15 +30,20 @@ class GroupElement:
     """A root of unity exp(2*pi*i * num/den).
 
     The angle num/den is kept reduced with 0 <= num < den, and each angle
-    has one interned instance, so equality and hashing are identity (done
+    has one live instance, so equality and hashing are identity (done
     in C, also inside the tuple hashes of words).  Multiplication adds
     angles mod 1; every element has finite order.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "__weakref__")
 
-    # (num, den) in lowest terms -> the one instance of that angle.
-    _interned: dict[tuple[int, int], "GroupElement"] = {}
+    # (num, den) in lowest terms -> the live instance of that angle.  The
+    # table is weak, so an angle's entry goes with its last instance and
+    # parsing ever-new marks (a long ``verify`` stream) does not grow it.
+    _interned: "weakref.WeakValueDictionary[tuple[int, int], GroupElement]" \
+        = weakref.WeakValueDictionary()
+    # held only to create an instance, so two threads never make two
+    _creating = threading.Lock()
 
     def __new__(cls, num: int, den: int = 1) -> "GroupElement":
         if den <= 0:
@@ -46,10 +53,12 @@ class GroupElement:
         key = (num // g, den // g)
         self = cls._interned.get(key)
         if self is None:
-            self = object.__new__(cls)
-            self.num, self.den = key
-            # setdefault: a racing thread's instance wins, never a second one
-            self = cls._interned.setdefault(key, self)
+            with cls._creating:
+                self = cls._interned.get(key)
+                if self is None:
+                    self = object.__new__(cls)
+                    self.num, self.den = key
+                    cls._interned[key] = self
         return self
 
     def __reduce__(self):

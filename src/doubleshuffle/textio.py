@@ -235,9 +235,8 @@ def relation_to_json(rel: Relation) -> dict:
 
 
 class JsonLinesWriter:
-    """Formats combinations and relations as the JSON lines that
-    ``json.dumps`` of :func:`lincomb_to_json` and :func:`relation_to_json`
-    would give, formatting each distinct word once.
+    """Formats relations as the JSON lines that ``json.dumps`` of
+    :func:`relation_to_json` would give, formatting each distinct word once.
 
     A word's fragment is ``json.dumps(word_to_json(word))`` without its
     opening brace, so the word schema stays defined in one place; a term is
@@ -258,9 +257,6 @@ class JsonLinesWriter:
         fragment = self._fragment
         return ", ".join(f'{{"coeff": {json.dumps(str(c))}, {fragment(w)}'
                          for w, c in lc.items())
-
-    def lincomb(self, lc: LinComb) -> str:
-        return f'{{"terms": [{self._terms(lc)}]}}'
 
     def relation(self, rel: Relation) -> str:
         factors = ", ".join("{" + self._fragment(w) for w in rel.factors)

@@ -381,10 +381,6 @@ def _sweep(words: list[IndexedWord], n_terms: int) -> list[complex]:
     width = min(CHUNK, n_terms)
     rows = [np.zeros(width + 1, np.float64 if r else np.complex128)
             for r in real]
-    # A per-order lookup table of the den-th roots costs O(den), so only
-    # orders up to the chunk width get one; larger ones are computed below.
-    tables = {mark.den: np.exp(2j * np.pi * np.arange(mark.den) / mark.den)
-              for _, mark, _ in nodes if 2 < mark.den <= width}
     for start in range(0, n_terms, width):
         length = min(width, n_terms - start)
         k = np.arange(start + 1, start + length + 1, dtype=np.int64)
@@ -400,8 +396,6 @@ def _sweep(words: list[IndexedWord], n_terms: int) -> list[complex]:
                     base = 1.0 / powers[s]
                 elif mark.den == 2:
                     base = np.where(k % 2 == 0, 1.0, -1.0) / powers[s]
-                elif mark.den in tables:
-                    base = tables[mark.den][mark.num * k % mark.den] / powers[s]
                 else:
                     phase = _phases(mark, start + 1, length)
                     base = np.exp(2j * np.pi * phase / mark.den) / powers[s]

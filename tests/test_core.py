@@ -1,6 +1,7 @@
 """Kernel types: group elements, binomials, words, linear combinations."""
 
 import copy
+import gc
 import math
 import pickle
 from fractions import Fraction
@@ -70,6 +71,15 @@ class TestGroupElement:
         assert GroupElement(-2, 3) is GroupElement(1, 3)
         assert GroupElement(1, 3) * GroupElement(1, 3) is GroupElement(2, 3)
         assert GroupElement(5, 5) is ONE and GroupElement(3, 6) is MINUS_ONE
+
+    def test_intern_table_forgets_freed_angles(self):
+        key = (1, 10 ** 9 + 7)
+        mark = GroupElement(*key)
+        assert GroupElement._interned.get(key) is mark
+        del mark
+        gc.collect()
+        assert GroupElement._interned.get(key) is None
+        assert GroupElement(*key).den == 10 ** 9 + 7
 
     def test_pickle_and_copy_return_the_interned_instance(self):
         third = GroupElement(1, 3)

@@ -241,7 +241,7 @@ class TestSweep:
         n_terms = 2 * CHUNK + 3
         assert values._sweep([word], n_terms) == [loop_mpl(word, n_terms)]
 
-    def test_large_denominator_needs_no_table(self):
+    def test_large_denominator_memory_stays_small(self):
         word = mw((2,), (GroupElement(1, 10 ** 7),))
         tracemalloc.start()
         try:
