@@ -28,10 +28,14 @@ def _group_order(name: str) -> int:
     if name == "sign":
         return 2
     if name.startswith("root:"):
-        n = int(name.split(":", 1)[1])
-        if n < 1:
-            raise ValueError("group order must be >= 1")
-        return n
+        try:
+            n = int(name.split(":", 1)[1])
+        except ValueError:
+            pass
+        else:
+            if n < 1:
+                raise ValueError("group order must be >= 1")
+            return n
     raise ValueError(f"unknown group {name!r} (use trivial, sign or root:N)")
 
 

@@ -226,6 +226,15 @@ class IndexedWord:
         self._hash = hash(pairs)
 
     @classmethod
+    def _wrap(cls, pairs: tuple) -> "IndexedWord":
+        """The word of a pairs tuple whose exponents are already known to be
+        >= 1; skips the check in ``__init__``.  For the package's kernels."""
+        word = object.__new__(cls)
+        word.pairs = pairs
+        word._hash = hash(pairs)
+        return word
+
+    @classmethod
     def from_parts(cls, exponents: Iterable[int],
                    marks: Iterable[GroupElement] | None = None) -> "IndexedWord":
         exponents = tuple(exponents)
@@ -312,6 +321,25 @@ class LinComb:
         self._terms = data
 
     @classmethod
+    def _wrap(cls, terms: dict) -> "LinComb":
+        """Take ownership of a dict that holds no zero coefficient."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
+
+    @classmethod
+    def _of_pairs(cls, terms: Iterable[tuple[tuple, int]]) -> "LinComb":
+        """The combination of ``(pairs, c)`` terms whose exponents are known
+        to be >= 1: summed on the raw pairs tuples, so hashing and equality
+        stay in C, then each distinct surviving word is wrapped once."""
+        acc: dict = {}
+        get = acc.get
+        for pairs, c in terms:
+            acc[pairs] = get(pairs, 0) + c
+        wrap = IndexedWord._wrap
+        return cls._wrap({wrap(p): c for p, c in acc.items() if c})
+
+    @classmethod
     def zero(cls) -> "LinComb":
         return cls()
 
@@ -353,21 +381,26 @@ class LinComb:
         return LinComb(chain(self._terms.items(), other._terms.items()))
 
     def __sub__(self, other: "LinComb") -> "LinComb":
-        return self + (-other)
+        """Copy the left terms and walk only the subtrahend's."""
+        data = dict(self._terms)
+        get = data.get
+        for word, c in other._terms.items():
+            c0 = get(word, 0) - c
+            if c0:
+                data[word] = c0
+            else:
+                del data[word]  # c != 0, so the word was there
+        return LinComb._wrap(data)
 
     def __neg__(self) -> "LinComb":
-        out = LinComb.__new__(LinComb)
-        out._terms = {w: -c for w, c in self._terms.items()}
-        return out
+        return LinComb._wrap({w: -c for w, c in self._terms.items()})
 
     def __mul__(self, scalar: int) -> "LinComb":
         if not isinstance(scalar, int):
             return NotImplemented
         if scalar == 0:
             return LinComb()
-        out = LinComb.__new__(LinComb)
-        out._terms = {w: scalar * c for w, c in self._terms.items()}
-        return out
+        return LinComb._wrap({w: scalar * c for w, c in self._terms.items()})
 
     __rmul__ = __mul__
 

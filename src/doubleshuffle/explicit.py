@@ -253,10 +253,22 @@ def _shape_walks(r: tuple[int, ...], s: tuple[int, ...]
                  for pair in enum_index_pairs(len(r), len(s)))
 
 
+@lru_cache(maxsize=512)
+def _merged_marks(merge, a: tuple[GroupElement, ...],
+                  b: tuple[GroupElement, ...]
+                  ) -> tuple[tuple[GroupElement, ...], ...]:
+    """``merge(pair, a, b)`` for every index pair of ``(len(a), len(b))``,
+    in the order of :func:`_shape_walks`.  The exponents play no part, so
+    one mark vector pair merges once for all the shapes it meets."""
+    return tuple(merge(pair, a, b)
+                 for pair in enum_index_pairs(len(a), len(b)))
+
+
 def _closed_form_terms(mu: IndexedWord, nu: IndexedWord, merge,
                        perm_form: bool = False
-                       ) -> Iterator[tuple[IndexedWord, int]]:
-    """The nonzero terms of the double sum over index pairs and compositions.
+                       ) -> Iterator[tuple[tuple, int]]:
+    """The nonzero terms ``(pairs, c)`` of the double sum over index pairs
+    and compositions, each word given by its raw ``(exponent, mark)`` pairs.
 
     ``merge(pair, a, b)`` routes the mark vectors to the target positions.
     Only the compositions :func:`_walk` visits are expanded.  With
@@ -267,16 +279,16 @@ def _closed_form_terms(mu: IndexedWord, nu: IndexedWord, merge,
     s, b = nu.exponents, nu.marks
     k = len(r)
     if not r and not s:
-        yield IndexedWord(), 1
+        yield (), 1
         return
     kappa = r + s
-    for pair, walked in _shape_walks(r, s):
-        marks = merge(pair, a, b)
+    for (pair, walked), marks in zip(_shape_walks(r, s),
+                                     _merged_marks(merge, a, b)):
         sigma = sigma_of_pair(pair) if perm_form else None
         for t, c in walked:
             if perm_form:
                 c = _perm_coeff_fast(sigma, kappa, k, t)
-            yield IndexedWord(tuple(zip(t, marks))), c
+            yield tuple(zip(t, marks)), c
 
 
 def explicit_product_b(mu: IndexedWord, nu: IndexedWord) -> LinComb:
@@ -286,13 +298,13 @@ def explicit_product_b(mu: IndexedWord, nu: IndexedWord) -> LinComb:
     An empty factor is absorbed by the degenerate pair convention, under
     which the coefficient collapses to a Kronecker delta.
     """
-    return LinComb(_closed_form_terms(mu, nu, merge_marks_b))
+    return LinComb._of_pairs(_closed_form_terms(mu, nu, merge_marks_b))
 
 
 def explicit_product_e(mu: IndexedWord, nu: IndexedWord) -> LinComb:
     """Closed form of ``maps.product_e``: same coefficients as the b-form,
     with the quotient-coordinate mark merge."""
-    return LinComb(_closed_form_terms(mu, nu, merge_marks_e))
+    return LinComb._of_pairs(_closed_form_terms(mu, nu, merge_marks_e))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +379,8 @@ def _perm_coeff_fast(sigma: tuple[int, ...], kappa: tuple[int, ...], k: int,
 
 def perm_product_b(mu: IndexedWord, nu: IndexedWord) -> LinComb:
     """The b-form product computed through the permutation formulation."""
-    return LinComb(_closed_form_terms(mu, nu, merge_marks_b, perm_form=True))
+    return LinComb._of_pairs(
+        _closed_form_terms(mu, nu, merge_marks_b, perm_form=True))
 
 
 # ---------------------------------------------------------------------------

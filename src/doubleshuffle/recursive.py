@@ -52,14 +52,14 @@ def quasi_shuffle(mu: IndexedWord, nu: IndexedWord) -> LinComb:
         return LinComb.single(mu)
     (s1, b1) = mu.pairs[0]
     (s2, b2) = nu.pairs[0]
-    mu_tail = IndexedWord(mu.pairs[1:])
-    nu_tail = IndexedWord(nu.pairs[1:])
-    return LinComb((IndexedWord((head,) + w.pairs), c)
-                   for head, left, right in (
-                       ((s1, b1), mu_tail, nu),
-                       ((s2, b2), mu, nu_tail),
-                       ((s1 + s2, b1 * b2), mu_tail, nu_tail))
-                   for w, c in quasi_shuffle(left, right).iterterms())
+    mu_tail = IndexedWord._wrap(mu.pairs[1:])
+    nu_tail = IndexedWord._wrap(nu.pairs[1:])
+    return LinComb._of_pairs(((head,) + w.pairs, c)
+                             for head, left, right in (
+                                 ((s1, b1), mu_tail, nu),
+                                 ((s2, b2), mu, nu_tail),
+                                 ((s1 + s2, b1 * b2), mu_tail, nu_tail))
+                             for w, c in quasi_shuffle(left, right).iterterms())
 
 
 def op_P(x: LinComb) -> LinComb:

@@ -176,8 +176,17 @@ def word_to_json(word: IndexedWord) -> dict:
     return {"s": list(word.exponents), "m": [str(b) for b in word.marks]}
 
 
-def word_from_json(d: dict) -> IndexedWord:
-    exponents, marks = d["s"], d["m"]
+def _field(d: dict, key: str, where: str):
+    """``d[key]``; a missing key is a one-line error naming it and where."""
+    try:
+        return d[key]
+    except KeyError:
+        raise ValueError(f"{where} is missing key {key!r}") from None
+
+
+def word_from_json(d: dict, where: str = "word") -> IndexedWord:
+    """A word object; ``where`` names it in the error for a missing key."""
+    exponents, marks = _field(d, "s", where), _field(d, "m", where)
     if not (isinstance(exponents, list)
             and all(type(s) is int for s in exponents)):
         raise WordSyntaxError("'s' must be a list of integers", str(d), 0)
@@ -211,8 +220,9 @@ def lincomb_to_json(lc: LinComb) -> dict:
 
 
 def lincomb_from_json(d: dict) -> LinComb:
-    return LinComb((word_from_json(t), _coeff_from_json(t["coeff"]))
-                   for t in d["terms"])
+    return LinComb((word_from_json(t, "term"),
+                    _coeff_from_json(_field(t, "coeff", "term")))
+                   for t in _field(d, "terms", "record"))
 
 
 def _coeff_from_json(value) -> int:
@@ -245,17 +255,19 @@ class JsonLinesWriter:
     """
 
     def __init__(self) -> None:
-        self._fragments: dict[IndexedWord, str] = {}
+        self._fragments: dict[tuple, str] = {}  # keyed by ``word.pairs``
 
     def _fragment(self, word: IndexedWord) -> str:
-        text = self._fragments.get(word)
+        key = word.pairs
+        text = self._fragments.get(key)
         if text is None:
-            text = self._fragments[word] = json.dumps(word_to_json(word))[1:]
+            text = self._fragments[key] = json.dumps(word_to_json(word))[1:]
         return text
 
     def _terms(self, lc: LinComb) -> str:
+        # str(int) never needs escaping, so '"{c}"' is json.dumps(str(c))
         fragment = self._fragment
-        return ", ".join(f'{{"coeff": {json.dumps(str(c))}, {fragment(w)}'
+        return ", ".join(f'{{"coeff": "{c}", {fragment(w)}'
                          for w, c in lc.items())
 
     def relation(self, rel: Relation) -> str:
@@ -274,7 +286,7 @@ def relation_from_json(d: dict) -> Relation:
         items = d.get(key, [])
         if not isinstance(items, list) or not all(isinstance(x, dict) for x in items):
             raise WordSyntaxError(f"{key!r} must be a list of objects", str(d), 0)
-    factors = tuple(word_from_json(w) for w in d.get("factors", []))
+    factors = tuple(word_from_json(w, "factor") for w in d.get("factors", []))
     return Relation(kind, factors, lincomb_from_json(d))
 
 

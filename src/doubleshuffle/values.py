@@ -19,6 +19,7 @@ truncation N, and every value equals the one summed word by word over all N.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import product as iter_product
 from typing import Iterator
@@ -131,9 +132,9 @@ def relation_stream(weight: int, depth: int, order: int = 1,
         words_b = by_weight[wb]
         for ia, mu in enumerate(words_a):
             start = ia if wa == wb else 0
-            for nu in words_b[start:]:
-                if mu.depth + nu.depth > depth:
-                    continue
+            # the lists are ordered by depth, so mu's partners are a prefix
+            stop = bisect_right(words_b, depth - len(mu), key=len)
+            for nu in words_b[start:stop]:
                 diff = explicit_product_e(mu, nu) - quasi_shuffle(mu, nu)
                 if diff:
                     yield Relation("double-shuffle", (mu, nu), diff)

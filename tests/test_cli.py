@@ -282,6 +282,34 @@ class TestCommandLine:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("line, message", [
+        ('{"terms": [{"s": [2], "m": ["0/1"]}]}', "term is missing key 'coeff'"),
+        ('{"terms": [{"coeff": "1", "m": ["0/1"]}]}', "term is missing key 's'"),
+        ('{"terms": [{"coeff": "1", "s": [2]}]}', "term is missing key 'm'"),
+        ('{"kind": "euler", "factors": [{"m": ["0/1"]}], "terms": []}',
+         "factor is missing key 's'"),
+        ('{"kind": "euler", "factors": [{"s": [2]}], "terms": []}',
+         "factor is missing key 'm'"),
+        ('{"kind": "double-shuffle", "factors": []}',
+         "record is missing key 'terms'"),
+    ])
+    def test_verify_names_a_missing_key(self, capsys, tmp_path, line, message):
+        stream = tmp_path / "bad.jsonl"
+        stream.write_text(line + "\n")
+        code, out, err = self.run(capsys, "verify", "--input", str(stream))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("group", ["root:3x", "root:", "root:1/3"])
+    def test_malformed_root_group_is_an_unknown_group(self, capsys, group):
+        code, out, err = self.run(capsys, "relations", "--weight", "4",
+                                  "--group", group)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: unknown group {group!r} "
+                       "(use trivial, sign or root:N)\n")
+
     @pytest.mark.parametrize("argv", [
         ("verify", "--tol", "-1"),
         ("verify", "--tol", "nan"),

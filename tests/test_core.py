@@ -12,7 +12,8 @@ from hypothesis import given, strategies as st
 
 from doubleshuffle import (MINUS_ONE, ONE, GroupElement, IndexedWord, Letter,
                            LinComb, ShuffleWord, bilinear, binomial,
-                           group_elements)
+                           explicit_product_b, explicit_product_e,
+                           group_elements, perm_product_b, quasi_shuffle)
 
 from helpers import zw
 
@@ -144,6 +145,22 @@ class TestWords:
         with pytest.raises(ValueError):
             IndexedWord(((0, ONE),))
 
+    def test_kernel_words_are_checked_words(self):
+        third = GroupElement(1, 3)
+        mu = IndexedWord(((2, third), (1, ONE)))
+        nu = IndexedWord(((1, MINUS_ONE), (2, third)))
+        for lc in (explicit_product_b(mu, nu), explicit_product_e(mu, nu),
+                   perm_product_b(mu, nu), quasi_shuffle(mu, nu)):
+            assert lc
+            for word, c in lc.iterterms():
+                checked = IndexedWord(word.pairs)
+                assert type(word) is IndexedWord
+                assert word == checked and checked == word
+                assert hash(word) == hash(checked)
+                assert lc.coeff(checked) == c
+        with pytest.raises(ValueError):
+            IndexedWord(((0, ONE),))
+
     def test_mark_length_validation(self):
         with pytest.raises(ValueError):
             IndexedWord.from_parts((2, 1), (ONE,))
@@ -230,6 +247,22 @@ class TestLinComb:
         assert 0 * x == LinComb.zero()
         assert x + LinComb.zero() == x
         assert x - x == LinComb.zero()
+
+    @given(_linc, _linc)
+    def test_subtraction_adds_the_negative(self, x, y):
+        # (x + y) - x and x - (x + y) cancel every word of x that y lacks
+        for a, b in ((x, y), (x + y, x), (x, x + y)):
+            a_terms, b_terms = dict(a.iterterms()), dict(b.iterterms())
+            diff = a - b
+            assert diff == a + (-b)
+            assert all(c for _, c in diff.iterterms())
+            for word in a_terms.keys() | b_terms.keys():
+                c = a_terms.get(word, 0) - b_terms.get(word, 0)
+                assert diff.coeff(word) == c
+                assert (word in diff) == bool(c)
+            assert dict(a.iterterms()) == a_terms
+            assert dict(b.iterterms()) == b_terms
+        assert x + y - x == y
 
     @given(_linc, st.integers(-5, 5), st.integers(-5, 5))
     def test_scalar_distributes(self, x, a, b):

@@ -13,7 +13,8 @@ from doubleshuffle import (MINUS_ONE, ONE, DomainError, GroupElement,
                            sigma_of_pair)
 from doubleshuffle.core import LinComb
 from doubleshuffle.explicit import (IndexPair, _closed_form_terms,
-                                    _shape_walks, _walk, amp, dagger,
+                                    _merged_marks, _shape_walks, _walk,
+                                    amp, dagger,
                                     extend_phi_leading, extend_psi_leading,
                                     restrict_phi_leading,
                                     restrict_psi_leading, sharp, star)
@@ -357,6 +358,13 @@ def unpruned_terms(mu, nu, merge):
                 yield IndexedWord(tuple(zip(t, marks))), c
 
 
+def closed_form_words(mu, nu, merge, perm_form=False):
+    """The terms of ``_closed_form_terms``, each raw pairs tuple read back
+    through the checking ``IndexedWord`` constructor."""
+    return [(IndexedWord(pairs), c)
+            for pairs, c in _closed_form_terms(mu, nu, merge, perm_form)]
+
+
 class TestPrunedWalk:
     def test_walk_is_the_nonzero_set(self):
         for k in range(4):
@@ -382,14 +390,14 @@ class TestPrunedWalk:
         for mu in words:
             for nu in words:
                 for merge in (merge_marks_b, merge_marks_e):
-                    assert list(_closed_form_terms(mu, nu, merge)) == \
+                    assert closed_form_words(mu, nu, merge) == \
                         list(unpruned_terms(mu, nu, merge))
 
     def test_perm_coefficients_match_e_form_term_by_term(self):
         mu = IndexedWord(((2, GroupElement(1, 3)), (1, ONE), (3, ONE)))
         nu = IndexedWord(((1, GroupElement(2, 3)), (2, GroupElement(1, 3))))
-        perm = list(_closed_form_terms(mu, nu, merge_marks_b, perm_form=True))
-        e_form = list(_closed_form_terms(mu, nu, merge_marks_e))
+        perm = closed_form_words(mu, nu, merge_marks_b, perm_form=True)
+        e_form = closed_form_words(mu, nu, merge_marks_e)
         assert len(perm) == len(e_form) > 0
         for (pw, pc), (ew, ec) in zip(perm, e_form):
             assert pw.exponents == ew.exponents
@@ -410,6 +418,26 @@ class TestPrunedWalk:
             for closed, oracle in routes:
                 assert closed(mu, nu) == oracle(mu, nu), (closed.__name__, mu, nu)
         assert _shape_walks.cache_info().hits > 0
+
+    def test_mark_variant_call_sequences_match_the_oracle(self):
+        # one exponent shape, (2, 1) times (3); the marks change between
+        # calls in both factors, in only the left and in only the right
+        third, two_thirds = GroupElement(1, 3), GroupElement(2, 3)
+        variant_a = ((third, ONE), (ONE,))
+        variant_b = ((MINUS_ONE, two_thirds), (third,))
+        only_right = ((third, ONE), (two_thirds,))
+        only_left = ((ONE, third), (ONE,))
+        _shape_walks.cache_clear()
+        _merged_marks.cache_clear()
+        routes = ((explicit_product_b, product_b), (explicit_product_e, product_e),
+                  (perm_product_b, product_b))
+        for a, b in (variant_a, variant_b, variant_a, only_right, only_left,
+                     variant_a):
+            mu = IndexedWord.from_parts((2, 1), a)
+            nu = IndexedWord.from_parts((3,), b)
+            for closed, oracle in routes:
+                assert closed(mu, nu) == oracle(mu, nu), (closed.__name__, mu, nu)
+        assert _merged_marks.cache_info().hits > 0
 
 class TestPermutationForm:
     def test_enumeration_count(self):

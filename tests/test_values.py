@@ -79,6 +79,23 @@ class TestDoubleShuffleRelations:
         hoffman = [hoffman_difference(nu) for nu in admissible_words(5, 2, 3)]
         assert streamed[len(rels):] == [r for r in hoffman if r.combination]
 
+    @pytest.mark.parametrize("weight, depth, order",
+                             [(7, 3, 2), (6, 4, 3), (8, 2, 1), (5, 1, 2)])
+    def test_every_unordered_pair_within_the_depth(self, weight, depth, order):
+        expected = []
+        for wa in range(1, weight // 2 + 1):
+            words_a = admissible_words(wa, depth, order)
+            words_b = admissible_words(weight - wa, depth, order)
+            for ia, mu in enumerate(words_a):
+                for nu in words_b[ia if 2 * wa == weight else 0:]:
+                    if mu.depth + nu.depth <= depth:
+                        diff = explicit_product_e(mu, nu) - quasi_shuffle(mu, nu)
+                        if diff:
+                            expected.append(
+                                Relation("double-shuffle", (mu, nu), diff))
+        assert expected or depth == 1
+        assert double_shuffle_relations(weight, depth, order) == expected
+
     def test_sign_group_runs(self):
         rels = double_shuffle_relations(4, 2, order=2)
         assert rels
