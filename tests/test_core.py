@@ -158,8 +158,6 @@ class TestWords:
                 assert word == checked and checked == word
                 assert hash(word) == hash(checked)
                 assert lc.coeff(checked) == c
-        with pytest.raises(ValueError):
-            IndexedWord(((0, ONE),))
 
     def test_mark_length_validation(self):
         with pytest.raises(ValueError):
