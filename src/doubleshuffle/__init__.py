@@ -9,39 +9,32 @@ multiple zeta values, alternating sums and polylogarithms at roots of unity,
 and verifies them numerically by truncated nested sums.
 """
 
-from .core import (MINUS_ONE, ONE, X0, X1, DomainError, GroupElement,
-                   IndexedWord, Letter, LinComb, ShuffleWord, bilinear,
-                   binomial, group_elements)
-from .explicit import (IndexPair, amp, coeff, coeff_factor, coeff_nonzero,
-                       dagger, enum_compositions, enum_index_pairs,
-                       enum_shuffle_perms, epsilon, explicit_product_b,
-                       explicit_product_e, extend_phi_leading,
-                       extend_psi_leading, h_value, merge_marks_b,
-                       merge_marks_e, pair_of_sigma, perm_coeff,
-                       perm_product_b, restrict_phi_leading,
-                       restrict_psi_leading, sharp, sigma_of_pair, star)
+from .core import (MINUS_ONE, ONE, DomainError, GroupElement, IndexedWord,
+                   Letter, LinComb, ShuffleWord, bilinear, binomial,
+                   group_elements)
+from .explicit import (coeff, coeff_factor, coeff_nonzero, enum_compositions,
+                       enum_index_pairs, enum_shuffle_perms, epsilon,
+                       explicit_product_b, explicit_product_e, h_value,
+                       merge_marks_b, merge_marks_e, pair_of_sigma,
+                       perm_coeff, perm_product_b, sigma_of_pair)
 from .maps import (eta, eta_inv, product_b, product_e, rho, rho_inv, theta,
                    theta_inv)
 from .recursive import op_P, op_Q, quasi_shuffle, shuffle
-from .values import (NumericValue, Relation, VerificationReport,
-                     admissible_words, double_shuffle_relations,
-                     euler_relation, hoffman_difference, lambda_numeric,
-                     mpl_numeric, verify_relation_numeric, worked_examples)
+from .values import (Relation, double_shuffle_relations, euler_relation,
+                     hoffman_difference, lambda_numeric, mpl_numeric,
+                     verify_relation_numeric, worked_examples)
 
 __all__ = [
-    "DomainError", "GroupElement", "IndexPair", "IndexedWord", "Letter",
-    "LinComb", "MINUS_ONE", "NumericValue", "ONE", "Relation",
-    "ShuffleWord", "VerificationReport", "X0", "X1", "admissible_words",
-    "amp", "bilinear", "binomial", "coeff", "coeff_factor", "coeff_nonzero",
-    "dagger", "double_shuffle_relations", "enum_compositions",
-    "enum_index_pairs", "enum_shuffle_perms", "epsilon", "eta", "eta_inv",
-    "euler_relation", "explicit_product_b", "explicit_product_e",
-    "extend_phi_leading", "extend_psi_leading", "group_elements", "h_value",
-    "hoffman_difference", "lambda_numeric", "merge_marks_b", "merge_marks_e",
-    "mpl_numeric", "op_P", "op_Q", "pair_of_sigma", "perm_coeff",
-    "perm_product_b", "product_b", "product_e", "quasi_shuffle",
-    "restrict_phi_leading", "restrict_psi_leading", "rho", "rho_inv",
-    "sharp", "shuffle", "sigma_of_pair", "star", "theta", "theta_inv",
+    "DomainError", "GroupElement", "IndexedWord", "Letter", "LinComb",
+    "MINUS_ONE", "ONE", "Relation", "ShuffleWord", "bilinear", "binomial",
+    "coeff", "coeff_factor", "coeff_nonzero", "double_shuffle_relations",
+    "enum_compositions", "enum_index_pairs", "enum_shuffle_perms", "epsilon",
+    "eta", "eta_inv", "euler_relation", "explicit_product_b",
+    "explicit_product_e", "group_elements", "h_value", "hoffman_difference",
+    "lambda_numeric", "merge_marks_b", "merge_marks_e", "mpl_numeric",
+    "op_P", "op_Q", "pair_of_sigma", "perm_coeff", "perm_product_b",
+    "product_b", "product_e", "quasi_shuffle", "rho", "rho_inv",
+    "shuffle", "sigma_of_pair", "theta", "theta_inv",
     "verify_relation_numeric", "worked_examples",
 ]
 

@@ -97,8 +97,7 @@ def _cmd_euler(args) -> int:
 def _cmd_relations(args) -> int:
     if args.weight < 1 or args.depth < 1:
         raise ValueError("--weight and --depth must be >= 1")
-    order = _group_order(args.group)
-    _print_relations(relation_stream(args.weight, args.depth, order,
+    _print_relations(relation_stream(args.weight, args.depth, args.order,
                                      hoffman=args.hoffman), args)
     return 0
 
@@ -218,6 +217,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.order = _group_order(args.group)
         return args.func(args)
     except (WordSyntaxError, DomainError, ValueError,
             json.JSONDecodeError, KeyError) as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import threading
 import weakref
+from functools import partial
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -156,10 +157,6 @@ class Letter:
         return (1, self.mark)
 
 
-X0 = Letter(None)
-X1 = Letter(ONE)
-
-
 class ShuffleWord:
     """A finite sequence of letters; the empty word is the algebra unit."""
 
@@ -171,10 +168,6 @@ class ShuffleWord:
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.letters
 
     @property
     def encodes_index_word(self) -> bool:
@@ -206,33 +199,28 @@ class ShuffleWord:
         return tuple(a.sort_key() for a in self.letters)
 
 
-class IndexedWord:
+class IndexedWord(tuple):
     """A word of (exponent, mark) pairs; the empty word is the unit.
 
-    Weight is the sum of exponents, depth the number of pairs.  A nonempty
-    word is admissible exactly when its leading pair is not ``(1, identity)``,
-    which is the condition for the attached nested series to converge
-    absolutely or conditionally.
+    A word is the tuple of its pairs, so it hashes and compares in C and
+    equals the plain tuple of its pairs: ``IndexedWord(p) == p``.  Weight is
+    the sum of exponents, depth the number of pairs.  A nonempty word is
+    admissible exactly when its leading pair is not ``(1, identity)``, which
+    is the condition for the attached nested series to converge absolutely
+    or conditionally.
     """
 
-    __slots__ = ("pairs", "_hash")
+    __slots__ = ()
 
-    def __init__(self, pairs: Iterable[tuple[int, GroupElement]] = ()) -> None:
-        pairs = tuple(pairs)
-        for s, _ in pairs:
+    def __new__(cls, pairs: Iterable[tuple[int, GroupElement]] = ()
+                ) -> "IndexedWord":
+        """Check every exponent; unpickling (protocol >= 2) and copying
+        come through here too."""
+        self = tuple.__new__(cls, pairs)
+        for s, _ in self:
             if s < 1:
                 raise ValueError(f"exponent {s} must be >= 1")
-        self.pairs = pairs
-        self._hash = hash(pairs)
-
-    @classmethod
-    def _wrap(cls, pairs: tuple) -> "IndexedWord":
-        """The word of a pairs tuple whose exponents are already known to be
-        >= 1; skips the check in ``__init__``.  For the package's kernels."""
-        word = object.__new__(cls)
-        word.pairs = pairs
-        word._hash = hash(pairs)
-        return word
+        return self
 
     @classmethod
     def from_parts(cls, exponents: Iterable[int],
@@ -248,51 +236,48 @@ class IndexedWord:
 
     @property
     def exponents(self) -> tuple[int, ...]:
-        return tuple(s for s, _ in self.pairs)
+        return tuple(s for s, _ in self)
 
     @property
     def marks(self) -> tuple[GroupElement, ...]:
-        return tuple(b for _, b in self.pairs)
+        return tuple(b for _, b in self)
 
     @property
     def weight(self) -> int:
-        return sum(s for s, _ in self.pairs)
+        return sum(s for s, _ in self)
 
     @property
     def depth(self) -> int:
-        return len(self.pairs)
+        return len(self)
 
     @property
     def is_admissible(self) -> bool:
-        if not self.pairs:
+        if not self:
             return False
-        s1, b1 = self.pairs[0]
+        s1, b1 = self[0]
         return not (s1 == 1 and b1.is_identity)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, IndexedWord) and self.pairs == other.pairs
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"IndexedWord({str(self)!r})"
 
     def __str__(self) -> str:
-        if not self.pairs:
+        if not self:
             return "1"
-        exps = ",".join(str(s) for s, _ in self.pairs)
-        if all(b.is_identity for _, b in self.pairs):
+        exps = ",".join(str(s) for s, _ in self)
+        if all(b.is_identity for _, b in self):
             return f"({exps})"
-        marks = ",".join(str(b) for _, b in self.pairs)
+        marks = ",".join(str(b) for _, b in self)
         return f"({exps}|{marks})"
 
     def sort_key(self):
-        """``(exponents, marks)``, transposed in one pass."""
-        return tuple(zip(*self.pairs)) or ((), ())
+        """``(exponents, marks)``, transposed in one pass: the canonical
+        order compares all exponents before any mark, unlike tuple order."""
+        return tuple(zip(*self)) or ((), ())
+
+
+# The word of pairs whose exponents are already known to be >= 1, built in
+# C without the check in ``IndexedWord.__new__``.  For the package's kernels.
+_unchecked_word = partial(tuple.__new__, IndexedWord)
 
 
 class LinComb:
@@ -310,15 +295,11 @@ class LinComb:
         """Sum the coefficients of repeated words and drop the zeros; every
         operation that can make two terms collide goes through here."""
         data: dict = {}
-        pairs = terms.items() if isinstance(terms, Mapping) else terms
-        for word, c in pairs:
-            if c:
-                c0 = data.get(word, 0) + c
-                if c0:
-                    data[word] = c0
-                elif word in data:
-                    del data[word]
-        self._terms = data
+        get = data.get
+        for word, c in (terms.items() if isinstance(terms, Mapping)
+                        else terms):
+            data[word] = get(word, 0) + c
+        self._terms = {w: c for w, c in data.items() if c}
 
     @classmethod
     def _wrap(cls, terms: dict) -> "LinComb":
@@ -326,18 +307,6 @@ class LinComb:
         out = cls.__new__(cls)
         out._terms = terms
         return out
-
-    @classmethod
-    def _of_pairs(cls, terms: Iterable[tuple[tuple, int]]) -> "LinComb":
-        """The combination of ``(pairs, c)`` terms whose exponents are known
-        to be >= 1: summed on the raw pairs tuples, so hashing and equality
-        stay in C, then each distinct surviving word is wrapped once."""
-        acc: dict = {}
-        get = acc.get
-        for pairs, c in terms:
-            acc[pairs] = get(pairs, 0) + c
-        wrap = IndexedWord._wrap
-        return cls._wrap({wrap(p): c for p, c in acc.items() if c})
 
     @classmethod
     def zero(cls) -> "LinComb":

@@ -22,7 +22,7 @@ from math import comb
 from typing import Iterator
 
 from .core import (ONE, DomainError, GroupElement, IndexedWord, LinComb,
-                   binomial)
+                   _unchecked_word, binomial)
 
 
 @dataclass(frozen=True)
@@ -266,9 +266,9 @@ def _merged_marks(merge, a: tuple[GroupElement, ...],
 
 def _closed_form_terms(mu: IndexedWord, nu: IndexedWord, merge,
                        perm_form: bool = False
-                       ) -> Iterator[tuple[tuple, int]]:
-    """The nonzero terms ``(pairs, c)`` of the double sum over index pairs
-    and compositions, each word given by its raw ``(exponent, mark)`` pairs.
+                       ) -> Iterator[tuple[IndexedWord, int]]:
+    """The nonzero terms ``(word, c)`` of the double sum over index pairs
+    and compositions.
 
     ``merge(pair, a, b)`` routes the mark vectors to the target positions.
     Only the compositions :func:`_walk` visits are expanded.  With
@@ -279,7 +279,7 @@ def _closed_form_terms(mu: IndexedWord, nu: IndexedWord, merge,
     s, b = nu.exponents, nu.marks
     k = len(r)
     if not r and not s:
-        yield (), 1
+        yield IndexedWord(), 1
         return
     kappa = r + s
     for (pair, walked), marks in zip(_shape_walks(r, s),
@@ -288,7 +288,7 @@ def _closed_form_terms(mu: IndexedWord, nu: IndexedWord, merge,
         for t, c in walked:
             if perm_form:
                 c = _perm_coeff_fast(sigma, kappa, k, t)
-            yield tuple(zip(t, marks)), c
+            yield _unchecked_word(zip(t, marks)), c
 
 
 def explicit_product_b(mu: IndexedWord, nu: IndexedWord) -> LinComb:
@@ -298,13 +298,13 @@ def explicit_product_b(mu: IndexedWord, nu: IndexedWord) -> LinComb:
     An empty factor is absorbed by the degenerate pair convention, under
     which the coefficient collapses to a Kronecker delta.
     """
-    return LinComb._of_pairs(_closed_form_terms(mu, nu, merge_marks_b))
+    return LinComb(_closed_form_terms(mu, nu, merge_marks_b))
 
 
 def explicit_product_e(mu: IndexedWord, nu: IndexedWord) -> LinComb:
     """Closed form of ``maps.product_e``: same coefficients as the b-form,
     with the quotient-coordinate mark merge."""
-    return LinComb._of_pairs(_closed_form_terms(mu, nu, merge_marks_e))
+    return LinComb(_closed_form_terms(mu, nu, merge_marks_e))
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +379,7 @@ def _perm_coeff_fast(sigma: tuple[int, ...], kappa: tuple[int, ...], k: int,
 
 def perm_product_b(mu: IndexedWord, nu: IndexedWord) -> LinComb:
     """The b-form product computed through the permutation formulation."""
-    return LinComb._of_pairs(
-        _closed_form_terms(mu, nu, merge_marks_b, perm_form=True))
+    return LinComb(_closed_form_terms(mu, nu, merge_marks_b, perm_form=True))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ def rho(u: ShuffleWord) -> IndexedWord:
 def rho_inv(word: IndexedWord) -> ShuffleWord:
     """Inverse block encoding."""
     letters: list[Letter] = []
-    for s, b in word.pairs:
+    for s, b in word:
         letters.extend([Letter(None)] * (s - 1))
         letters.append(Letter(b))
     return ShuffleWord(letters)

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .core import DomainError, GroupElement, IndexedWord, LinComb, ShuffleWord
+from .core import (DomainError, GroupElement, IndexedWord, LinComb, ShuffleWord,
+                   _unchecked_word)
 
 # Entries kept per memo; the largest table a perfbench workload fills
 # (relations-roots) holds 6,586, so none of them evicts.
@@ -46,20 +47,18 @@ def quasi_shuffle(mu: IndexedWord, nu: IndexedWord) -> LinComb:
     Merging adds exponents and multiplies marks, so over the trivial group
     this is the classical sum-representation product rule.
     """
-    if not mu.pairs:
+    if not mu:
         return LinComb.single(nu)
-    if not nu.pairs:
+    if not nu:
         return LinComb.single(mu)
-    (s1, b1) = mu.pairs[0]
-    (s2, b2) = nu.pairs[0]
-    mu_tail = IndexedWord._wrap(mu.pairs[1:])
-    nu_tail = IndexedWord._wrap(nu.pairs[1:])
-    return LinComb._of_pairs(((head,) + w.pairs, c)
-                             for head, left, right in (
-                                 ((s1, b1), mu_tail, nu),
-                                 ((s2, b2), mu, nu_tail),
-                                 ((s1 + s2, b1 * b2), mu_tail, nu_tail))
-                             for w, c in quasi_shuffle(left, right).iterterms())
+    (s1, b1), (s2, b2) = mu[0], nu[0]
+    mu_tail, nu_tail = _unchecked_word(mu[1:]), _unchecked_word(nu[1:])
+    merged = (s1 + s2, b1 * b2)
+    return LinComb((_unchecked_word((head,) + w), c)
+                   for head, left, right in ((mu[0], mu_tail, nu),
+                                             (nu[0], mu, nu_tail),
+                                             (merged, mu_tail, nu_tail))
+                   for w, c in quasi_shuffle(left, right).iterterms())
 
 
 def op_P(x: LinComb) -> LinComb:
@@ -69,14 +68,14 @@ def op_P(x: LinComb) -> LinComb:
     exponent to raise).
     """
     def bump(word: IndexedWord) -> IndexedWord:
-        if not word.pairs:
+        if not word:
             raise DomainError("exponent-raising operator is undefined on the empty word")
-        (s1, b1) = word.pairs[0]
-        return IndexedWord(((s1 + 1, b1),) + word.pairs[1:])
+        (s1, b1) = word[0]
+        return IndexedWord(((s1 + 1, b1),) + word[1:])
 
     return x.map_words(bump)
 
 
 def op_Q(b: GroupElement, x: LinComb) -> LinComb:
     """Prepend the pair (1, b) to every word; sends the unit to ((1, b))."""
-    return x.map_words(lambda word: IndexedWord(((1, b),) + word.pairs))
+    return x.map_words(lambda word: IndexedWord(((1, b),) + word))

@@ -52,11 +52,6 @@ class _Scanner:
         self.i += 1
         return ch
 
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}")
-        self.take()
-
     def at_end(self) -> bool:
         return self.peek() is None
 
@@ -255,13 +250,12 @@ class JsonLinesWriter:
     """
 
     def __init__(self) -> None:
-        self._fragments: dict[tuple, str] = {}  # keyed by ``word.pairs``
+        self._fragments: dict[IndexedWord, str] = {}
 
     def _fragment(self, word: IndexedWord) -> str:
-        key = word.pairs
-        text = self._fragments.get(key)
+        text = self._fragments.get(word)
         if text is None:
-            text = self._fragments[key] = json.dumps(word_to_json(word))[1:]
+            text = self._fragments[word] = json.dumps(word_to_json(word))[1:]
         return text
 
     def _terms(self, lc: LinComb) -> str:

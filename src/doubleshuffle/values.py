@@ -335,7 +335,7 @@ def _refusal(word: IndexedWord, n_terms: int,
         return DomainError(f"{word} is not admissible")
     if n_terms < 1:
         return ValueError("need at least one term")
-    if word.pairs[0][0] == 1 and not allow_conditional:
+    if word[0][0] == 1 and not allow_conditional:
         return DomainError(f"{word} converges only conditionally")
     return None
 
@@ -343,9 +343,9 @@ def _refusal(word: IndexedWord, n_terms: int,
 def _tail_estimate(word: IndexedWord, n_terms: int) -> float:
     """(log(N+1))^(depth-1) N^(1-s1) / (s1-1) for a leading exponent s1 >= 2,
     else 0."""
-    if word.depth == 0 or word.pairs[0][0] < 2:
+    if word.depth == 0 or word[0][0] < 2:
         return 0.0
-    s1 = word.pairs[0][0]
+    s1 = word[0][0]
     return (math.log(n_terms + 1) ** (word.depth - 1)
             * n_terms ** (1 - s1) / (s1 - 1))
 
@@ -353,8 +353,8 @@ def _tail_estimate(word: IndexedWord, n_terms: int) -> float:
 def _sweep(words: list[IndexedWord], n_terms: int) -> list[complex]:
     """The truncated nested sums of ``words`` in one pass over n = 1..N.
 
-    The words' suffixes form a trie: node ``pairs[i:]`` has the inner child
-    ``pairs[i+1:]``, so words sharing a suffix share its partial sums.  A
+    The words' suffixes form a trie: node ``word[i:]`` has the inner child
+    ``word[i+1:]``, so words sharing a suffix share its partial sums.  A
     node's running sum A(n) grows by its base z^n / n^s times the inner
     node's A(n-1).  Each chunk of n builds every distinct base once and then
     updates the nodes innermost first.  Slot 0 of a node's row carries A at
@@ -369,10 +369,10 @@ def _sweep(words: list[IndexedWord], n_terms: int) -> list[complex]:
     for word in words:
         inner = -1
         for i in range(word.depth - 1, -1, -1):
-            node = index.get(word.pairs[i:])
+            node = index.get(word[i:])
             if node is None:
-                s, mark = word.pairs[i]
-                node = index[word.pairs[i:]] = len(nodes)
+                s, mark = word[i]
+                node = index[word[i:]] = len(nodes)
                 nodes.append((s, mark, inner))
                 real.append(mark.den <= 2 and (inner < 0 or real[inner]))
             inner = node

@@ -53,10 +53,10 @@ def brute_quasi_shuffle(mu: IndexedWord, nu: IndexedWord) -> LinComb:
                 for p in range(n):
                     s, mark = 0, ONE
                     if p in f_at:
-                        sp, bp = mu.pairs[f_at[p]]
+                        sp, bp = mu[f_at[p]]
                         s, mark = s + sp, mark * bp
                     if p in g_at:
-                        sp, bp = nu.pairs[g_at[p]]
+                        sp, bp = nu[g_at[p]]
                         s, mark = s + sp, mark * bp
                     pairs.append((s, mark))
                 word = IndexedWord(pairs)
@@ -94,7 +94,7 @@ def loop_partial_sums(word: IndexedWord, n_terms: int) -> np.ndarray:
     """
     n = np.arange(1, n_terms + 1, dtype=np.float64)
     acc = None
-    for s, mark in reversed(word.pairs):
+    for s, mark in reversed(word):
         base = mark_powers(mark, n_terms) / n ** s
         if acc is None:
             term = base

@@ -234,6 +234,26 @@ class TestCommandLine:
                               "--group", "bogus")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, group", [
+        (("shuffle", "01", "1"), "bogus"),
+        (("stuffle", "(2)", "(2)"), "root:x"),
+        (("explicit", "(2)", "(2)", "--format", "latex"), "bogus"),
+        (("perm-form", "(2)", "(2,1)"), "nope"),
+        (("euler", "2", "3"), "root:x"),
+        (("verify",), "nope"),
+    ])
+    def test_every_command_checks_the_group(self, capsys, tmp_path, argv,
+                                            group):
+        if argv[0] == "verify":
+            stream = tmp_path / "one.jsonl"
+            stream.write_text(json.dumps(relation_to_json(
+                Relation("double-shuffle", (), LinComb.single(zw(2))))) + "\n")
+            argv += ("--input", str(stream))
+        code, out, err = self.run(capsys, *argv, "--group", group)
+        assert (code, out) == (2, "")
+        assert err == (f"error: unknown group {group!r} "
+                       "(use trivial, sign or root:N)\n")
+
     def test_relations_verify_pipeline(self, capsys, tmp_path):
         code, out, _ = self.run(capsys, "relations", "--weight", "4",
                                 "--depth", "2", "--hoffman",

@@ -14,6 +14,7 @@ from doubleshuffle import (MINUS_ONE, ONE, GroupElement, IndexedWord, Letter,
                            LinComb, ShuffleWord, bilinear, binomial,
                            explicit_product_b, explicit_product_e,
                            group_elements, perm_product_b, quasi_shuffle)
+from doubleshuffle.core import _unchecked_word
 
 from helpers import zw
 
@@ -90,7 +91,7 @@ class TestGroupElement:
         word = IndexedWord(((2, third), (1, ONE), (3, MINUS_ONE)))
         clone = copy.deepcopy(word)
         assert clone == word and hash(clone) == hash(word)
-        assert all(a is b for (_, a), (_, b) in zip(clone.pairs, word.pairs))
+        assert all(a is b for (_, a), (_, b) in zip(clone, word))
         assert pickle.loads(pickle.dumps(word)) == word
 
     def test_complex_values(self):
@@ -153,7 +154,7 @@ class TestWords:
                    perm_product_b(mu, nu), quasi_shuffle(mu, nu)):
             assert lc
             for word, c in lc.iterterms():
-                checked = IndexedWord(word.pairs)
+                checked = IndexedWord(word)
                 assert type(word) is IndexedWord
                 assert word == checked and checked == word
                 assert hash(word) == hash(checked)
@@ -163,11 +164,34 @@ class TestWords:
         with pytest.raises(ValueError):
             IndexedWord.from_parts((2, 1), (ONE,))
 
+    def test_word_is_the_tuple_of_its_pairs(self):
+        third = GroupElement(1, 3)
+        for p in ((), ((2, ONE),), ((2, third), (1, ONE), (3, MINUS_ONE))):
+            assert IndexedWord(p) == p and p == IndexedWord(p)
+            assert hash(IndexedWord(p)) == hash(p)
+        assert IndexedWord() != ShuffleWord()
+        assert ShuffleWord() != IndexedWord()
+
+    def test_unpickling_checks_exponents(self):
+        bad = _unchecked_word(((2, ONE), (0, MINUS_ONE)))
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            data = pickle.dumps(bad, protocol)
+            with pytest.raises(ValueError, match="exponent 0"):
+                pickle.loads(data)
+
 
 # Hypothesis strategies for small exact linear combinations.
 _marks = st.sampled_from(group_elements(4))
 _word = st.lists(st.tuples(st.integers(1, 3), _marks), max_size=3).map(IndexedWord)
 _linc = st.lists(st.tuples(_word, st.integers(-9, 9)), max_size=6).map(LinComb)
+# Terms over a pool of four words, so that words repeat, with every term
+# followed by its negation at random, so that coefficients cancel.
+_terms = st.lists(st.tuples(st.sampled_from([IndexedWord(), zw(2), zw(2, 1),
+                                             IndexedWord(((2, MINUS_ONE),))]),
+                            st.integers(-3, 3), st.booleans()),
+                  max_size=12).map(
+    lambda ts: [t for w, c, undo in ts
+                for t in ([(w, c), (w, -c)] if undo else [(w, c)])])
 
 
 class TestLinComb:
@@ -192,6 +216,16 @@ class TestLinComb:
         for z in cancelled:
             assert len(z) == 0
             assert z == LinComb.zero()
+
+    @given(_terms)
+    def test_construction_sums_per_word_and_drops_zeros(self, terms):
+        sums: dict = {}
+        for word, c in terms:
+            sums[word] = sums.get(word, 0) + c
+        expected = {w: c for w, c in sums.items() if c}
+        for x in (LinComb(terms), LinComb(sums)):
+            assert dict(x.iterterms()) == expected
+            assert len(x) == len(expected)
 
     def test_canonical_item_order(self):
         x = LinComb([(zw(3, 1), 1), (zw(2, 2), 1), (zw(2), 1),
