@@ -123,23 +123,27 @@ class Letter:
     """One letter of a shuffle word: either the plain letter or a marked one.
 
     ``mark is None`` encodes the unmarked letter (written ``0``); otherwise
-    the letter carries a group element.
+    the letter carries a group element.  Letters are interned in a weak
+    table like the marks, so equality and hashing are identity, done in C.
     """
 
-    __slots__ = ("mark",)
+    __slots__ = ("mark", "__weakref__")
 
-    def __init__(self, mark: GroupElement | None) -> None:
-        self.mark = mark
+    _interned: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+    _creating = threading.Lock()
 
-    @property
-    def is_zero(self) -> bool:
-        return self.mark is None
+    def __new__(cls, mark: GroupElement | None) -> "Letter":
+        with cls._creating:  # letters are made per input word, not per term
+            self = cls._interned.get(mark)
+            if self is None:
+                self = object.__new__(cls)
+                self.mark = mark
+                cls._interned[mark] = self
+        return self
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Letter) and self.mark == other.mark
-
-    def __hash__(self) -> int:
-        return hash(self.mark)
+    def __reduce__(self):
+        """Pickle and copy through the constructor, like the marks."""
+        return Letter, (self.mark,)
 
     def __repr__(self) -> str:
         return f"Letter({self.mark!r})"
@@ -157,14 +161,16 @@ class Letter:
         return (1, self.mark)
 
 
+ZERO_LETTER = Letter(None)  # held here, so its table entry never goes
+
+
 class ShuffleWord:
     """A finite sequence of letters; the empty word is the algebra unit."""
 
-    __slots__ = ("letters", "_hash")
+    __slots__ = ("letters",)
 
     def __init__(self, letters: Iterable[Letter] = ()) -> None:
         self.letters = tuple(letters)
-        self._hash = hash(self.letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -172,7 +178,7 @@ class ShuffleWord:
     @property
     def encodes_index_word(self) -> bool:
         """Empty, or ends in a marked letter (domain of the block encoding)."""
-        return not self.letters or not self.letters[-1].is_zero
+        return not self.letters or self.letters[-1].mark is not None
 
     @property
     def is_convergent(self) -> bool:
@@ -180,14 +186,14 @@ class ShuffleWord:
         if not self.letters:
             return True
         first = self.letters[0]
-        leading_ok = first.is_zero or not first.mark.is_identity
-        return leading_ok and not self.letters[-1].is_zero
+        leading_ok = first.mark is None or not first.mark.is_identity
+        return leading_ok and self.letters[-1].mark is not None
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ShuffleWord) and self.letters == other.letters
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.letters)
 
     def __repr__(self) -> str:
         return f"ShuffleWord({str(self)!r})"
@@ -214,13 +220,17 @@ class IndexedWord(tuple):
 
     def __new__(cls, pairs: Iterable[tuple[int, GroupElement]] = ()
                 ) -> "IndexedWord":
-        """Check every exponent; unpickling (protocol >= 2) and copying
-        come through here too."""
+        """Check every exponent; unpickling and copying come through here
+        too (see ``__reduce__``)."""
         self = tuple.__new__(cls, pairs)
         for s, _ in self:
             if s < 1:
                 raise ValueError(f"exponent {s} must be >= 1")
         return self
+
+    def __reduce__(self):
+        """Rebuild through ``__new__`` at every pickle protocol, 0 and 1 too."""
+        return IndexedWord, (tuple(self),)
 
     @classmethod
     def from_parts(cls, exponents: Iterable[int],

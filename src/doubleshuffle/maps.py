@@ -11,8 +11,21 @@ words; these are the oracle counterparts of the closed-form expansion in
 
 from __future__ import annotations
 
-from .core import DomainError, GroupElement, IndexedWord, Letter, LinComb, ShuffleWord
-from .recursive import shuffle
+from functools import lru_cache
+from operator import sub
+
+from .core import (ZERO_LETTER, DomainError, GroupElement, IndexedWord, Letter,
+                   LinComb, ShuffleWord, _unchecked_word)
+from .recursive import _MEMO_SIZE, _shuffle_letters
+
+
+def _encode(letters: tuple, rewrite=tuple) -> IndexedWord:
+    """Block encoding of a letter tuple that is empty or ends in a marked
+    letter, marks passed through ``rewrite``; injective, as each exponent is
+    the gap between the positions of two consecutive marked letters."""
+    ends = [i for i, a in enumerate(letters, 1) if a.mark is not None]
+    marks = tuple([letters[i - 1].mark for i in ends])
+    return _unchecked_word(zip(map(sub, ends, [0, *ends]), rewrite(marks)))
 
 
 def rho(u: ShuffleWord) -> IndexedWord:
@@ -20,28 +33,21 @@ def rho(u: ShuffleWord) -> IndexedWord:
     if not u.encodes_index_word:
         raise DomainError(f"word {str(u)!r} ends in the unmarked letter; "
                           "it does not encode an index word")
-    pairs: list[tuple[int, GroupElement]] = []
-    zeros = 0
-    for letter in u.letters:
-        if letter.is_zero:
-            zeros += 1
-        else:
-            pairs.append((zeros + 1, letter.mark))
-            zeros = 0
-    return IndexedWord(pairs)
+    return _encode(u.letters)
 
 
 def rho_inv(word: IndexedWord) -> ShuffleWord:
     """Inverse block encoding."""
     letters: list[Letter] = []
     for s, b in word:
-        letters.extend([Letter(None)] * (s - 1))
+        letters += (ZERO_LETTER,) * (s - 1)
         letters.append(Letter(b))
     return ShuffleWord(letters)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def theta_marks(marks: tuple[GroupElement, ...]) -> tuple[GroupElement, ...]:
-    """(b1, b2, ..., bk)  ->  (1/b1, b1/b2, ..., b_{k-1}/bk)."""
+    """(b1, b2, ..., bk)  ->  (1/b1, b1/b2, ..., b_{k-1}/bk); memoised for product_e."""
     out: list[GroupElement] = []
     prev: GroupElement | None = None
     for b in marks:
@@ -81,9 +87,11 @@ def eta_inv(word: IndexedWord) -> ShuffleWord:
 
 def product_b(mu: IndexedWord, nu: IndexedWord) -> LinComb:
     """Interleaving product transported through the block encoding."""
-    return shuffle(rho_inv(mu), rho_inv(nu)).map_words(rho)
+    shuffled = _shuffle_letters(rho_inv(mu).letters, rho_inv(nu).letters)
+    return LinComb._wrap({_encode(w): c for w, c in shuffled.items()})
 
 
 def product_e(mu: IndexedWord, nu: IndexedWord) -> LinComb:
     """Interleaving product transported through eta (quotient coordinates)."""
-    return shuffle(eta_inv(mu), eta_inv(nu)).map_words(eta)
+    shuffled = _shuffle_letters(eta_inv(mu).letters, eta_inv(nu).letters)
+    return LinComb._wrap({_encode(w, theta_marks): c for w, c in shuffled.items()})

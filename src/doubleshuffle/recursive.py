@@ -21,23 +21,30 @@ _MEMO_SIZE = 2 ** 15
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
+def _shuffle_letters(u: tuple, v: tuple) -> dict:
+    """:func:`shuffle` on letter tuples, as ``{letters: coefficient}``; the
+    dict is the memo's own, so callers read it and never change it."""
+    if not u or not v:
+        return {u + v: 1}
+    out = {(u[0],) + w: c for w, c in _shuffle_letters(u[1:], v).items()}
+    for w, c in _shuffle_letters(u, v[1:]).items():
+        w = (v[0],) + w
+        out[w] = out.get(w, 0) + c
+    return out
+
+
 def shuffle(u: ShuffleWord, v: ShuffleWord) -> LinComb:
     """All interleavings of ``u`` and ``v``, each keeping its letter order.
 
     Satisfies the recursion  a.u' sh b.v' = a.(u' sh b.v') + b.(a.u' sh v')
     with the empty word as unit; the coefficients of the result always sum
-    to C(len(u)+len(v), len(u)).
+    to C(len(u)+len(v), len(u)).  ``shuffle.cache_info()`` reports the memo.
     """
-    if not u.letters:
-        return LinComb.single(v)
-    if not v.letters:
-        return LinComb.single(u)
-    a, b = u.letters[0], v.letters[0]
-    u_tail = ShuffleWord(u.letters[1:])
-    v_tail = ShuffleWord(v.letters[1:])
-    return LinComb((ShuffleWord((head,) + w.letters), c)
-                   for head, left, right in ((a, u_tail, v), (b, u, v_tail))
-                   for w, c in shuffle(left, right).iterterms())
+    return LinComb._wrap({ShuffleWord(w): c for w, c
+                          in _shuffle_letters(u.letters, v.letters).items()})
+
+
+shuffle.cache_info = _shuffle_letters.cache_info
 
 
 @lru_cache(maxsize=_MEMO_SIZE)

@@ -4,6 +4,8 @@ import copy
 import gc
 import math
 import pickle
+import sys
+import threading
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -174,10 +176,63 @@ class TestWords:
 
     def test_unpickling_checks_exponents(self):
         bad = _unchecked_word(((2, ONE), (0, MINUS_ONE)))
-        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        good = IndexedWord(((2, GroupElement(1, 3)), (1, MINUS_ONE)))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             data = pickle.dumps(bad, protocol)
             with pytest.raises(ValueError, match="exponent 0"):
                 pickle.loads(data)
+            clone = pickle.loads(pickle.dumps(good, protocol))
+            assert type(clone) is IndexedWord and clone == good
+            assert all(a is b for (_, a), (_, b) in zip(clone, good))
+
+    def test_letters_are_interned(self):
+        assert Letter(None) is Letter(None)
+        assert Letter(GroupElement(1, 3)) is Letter(GroupElement(2, 6))
+        assert Letter(ONE) is not Letter(None)
+        for letter in (Letter(None), Letter(ONE), Letter(GroupElement(2, 5))):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(letter, protocol)) is letter
+            assert copy.copy(letter) is letter and copy.deepcopy(letter) is letter
+        word = ShuffleWord((Letter(None), Letter(GroupElement(1, 3))))
+        clone = copy.deepcopy(word)
+        assert clone == word and hash(clone) == hash(word)
+        assert all(a is b for a, b in zip(clone.letters, word.letters))
+
+    def test_letter_table_does_not_keep_marks(self):
+        key = (1, 10 ** 9 + 9)
+        letter = Letter(GroupElement(*key))
+        assert Letter._interned.get(letter.mark) is letter
+        del letter
+        gc.collect()
+        assert GroupElement._interned.get(key) is None
+
+    def test_threads_share_one_letter_per_mark(self):
+        marks = [GroupElement(j, d) for d in (1009, 1013, 1019, 1021, 1031)
+                 for j in range(1, d)]
+        made = [None] * 4
+
+        def make(slot):
+            made[slot] = [Letter(m) for m in marks]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=make, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(len(letters) == len(marks) for letters in made)
+        assert all(a is b for letters in made[1:] for a, b in zip(made[0], letters))
+
+    def test_letter_compares_by_identity(self):
+        assert "__eq__" not in vars(Letter) and "__hash__" not in vars(Letter)
+        marked = Letter(GroupElement(1, 7))
+        assert hash(marked) == object.__hash__(marked)
+        assert {Letter(GroupElement(8, 7)): 1} == {marked: 1}
 
 
 # Hypothesis strategies for small exact linear combinations.

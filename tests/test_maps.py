@@ -7,6 +7,7 @@ from doubleshuffle import (MINUS_ONE, ONE, DomainError, GroupElement,
                            binomial, eta, eta_inv, product_b, product_e, rho,
                            rho_inv, theta, theta_inv)
 
+from bruteforce import brute_shuffle
 from helpers import all_indexed_words, all_shuffle_words, zw
 
 X0, X1 = Letter(None), Letter(ONE)
@@ -119,3 +120,17 @@ class TestTransportedProducts:
                 lhs = product_e(theta(mu), theta(nu))
                 rhs = product_b(mu, nu).map_words(theta)
                 assert lhs == rhs
+
+    def test_match_bruteforce_over_cube_roots(self):
+        """Every pair of root:3 words whose product has weight <= 5, so each
+        word of weight <= 4 takes part; the reference enumerates
+        interleavings without the recursion's memo."""
+        words = all_indexed_words(4, order=3)
+        for mu in words:
+            for nu in words:
+                if mu.weight + nu.weight > 5:
+                    continue
+                b_ref = brute_shuffle(rho_inv(mu), rho_inv(nu)).map_words(rho)
+                e_ref = brute_shuffle(eta_inv(mu), eta_inv(nu)).map_words(eta)
+                assert product_b(mu, nu) == b_ref, (mu, nu)
+                assert product_e(mu, nu) == e_ref, (mu, nu)

@@ -42,6 +42,20 @@ class TestShuffle:
             for v in words:
                 assert shuffle(u, v) == brute_shuffle(u, v), (u, v)
 
+    def test_terms_are_shuffle_words(self):
+        lc = shuffle(sword(X0, X1), sword(X1))
+        assert lc and all(type(w) is ShuffleWord for w in lc.words())
+
+    def test_results_do_not_share_the_memo(self):
+        u, v = sword(X0, X1), sword(Letter(MINUS_ONE), X1)
+        first = shuffle(u, v)
+        expected = brute_shuffle(u, v)
+        assert first == expected
+        for changed in (-first, first - expected, first - first, first * 3):
+            assert changed != expected
+            assert shuffle(u, v) == expected
+        assert first == expected
+
     def test_coefficient_mass(self):
         for order in (1, 2):
             words = all_shuffle_words(3, order)
