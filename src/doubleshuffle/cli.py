@@ -17,8 +17,7 @@ from .maps import rho
 from .recursive import quasi_shuffle, shuffle
 from .textio import (JsonLinesWriter, WordSyntaxError, format_lincomb,
                      lincomb_to_json, lincomb_to_latex, parse_indexed_word,
-                     parse_shuffle_word, relation_from_json,
-                     relation_to_latex)
+                     parse_shuffle_word, relation_from_json)
 from .values import euler_relation, relation_stream, verify_relation_numeric
 
 
@@ -50,14 +49,11 @@ def _print_lincomb(lc: LinComb, args) -> None:
 
 def _print_relations(rels, args) -> None:
     """Print each relation as the iterable yields it."""
-    writer = JsonLinesWriter()
+    writer = JsonLinesWriter(args.order)
+    line = {"json": writer.relation, "text": writer.text,
+            "latex": lambda rel: writer.latex(rel, args.group)}[args.format]
     for rel in rels:
-        if args.format == "json":
-            print(writer.relation(rel))
-        elif args.format == "latex":
-            print(relation_to_latex(rel, args.group))
-        else:
-            print(f"{rel.label}: {format_lincomb(rel.combination)}")
+        print(line(rel))
 
 
 def _cmd_shuffle(args) -> int:
@@ -220,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
         args.order = _group_order(args.group)
         return args.func(args)
     except (WordSyntaxError, DomainError, ValueError,
-            json.JSONDecodeError, KeyError) as exc:
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

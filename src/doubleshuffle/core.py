@@ -172,6 +172,10 @@ class ShuffleWord:
     def __init__(self, letters: Iterable[Letter] = ()) -> None:
         self.letters = tuple(letters)
 
+    def __reduce__(self):
+        """Rebuild through the constructor at every pickle protocol."""
+        return ShuffleWord, (self.letters,)
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -310,6 +314,10 @@ class LinComb:
                         else terms):
             data[word] = get(word, 0) + c
         self._terms = {w: c for w, c in data.items() if c}
+
+    def __reduce__(self):
+        """Rebuild through the constructor at every pickle protocol."""
+        return LinComb, (self._terms,)
 
     @classmethod
     def _wrap(cls, terms: dict) -> "LinComb":

@@ -16,6 +16,8 @@ round trip.
 from __future__ import annotations
 
 import json
+import math
+from operator import itemgetter
 
 from .core import GroupElement, IndexedWord, Letter, LinComb, ShuffleWord
 from .values import PRODUCT_KINDS, ZERO_SUM_KINDS, Relation
@@ -149,10 +151,14 @@ def parse_shuffle_word(text: str) -> ShuffleWord:
 
 def format_lincomb(lc: LinComb) -> str:
     """Byte-stable text: terms in canonical order, e.g. ``2*(2,2) + 4*(3,1)``."""
-    if not lc:
+    return _format_items(lc.items())
+
+
+def _format_items(items: list) -> str:
+    if not items:
         return "0"
     parts: list[str] = []
-    for word, c in lc.items():
+    for word, c in items:
         body = str(c if not parts else abs(c))
         if len(word) > 0:
             body += f"*{word}"
@@ -168,7 +174,7 @@ def format_lincomb(lc: LinComb) -> str:
 
 
 def word_to_json(word: IndexedWord) -> dict:
-    return {"s": list(word.exponents), "m": [str(b) for b in word.marks]}
+    return {"s": [s for s, _ in word], "m": [str(b) for _, b in word]}
 
 
 def _field(d: dict, key: str, where: str):
@@ -240,34 +246,69 @@ def relation_to_json(rel: Relation) -> dict:
 
 
 class JsonLinesWriter:
-    """Formats relations as the JSON lines that ``json.dumps`` of
-    :func:`relation_to_json` would give, formatting each distinct word once.
+    """Formats relation lines with one memo entry per distinct word.
 
-    A word's fragment is ``json.dumps(word_to_json(word))`` without its
-    opening brace, so the word schema stays defined in one place; a term is
-    its coefficient entry followed by that fragment.  The memo lives as
-    long as the writer, so create one writer per command run.
+    ``relation`` writes the bytes of ``json.dumps(relation_to_json(rel))``.
+    An entry is ``(key, fragment, word)``, the fragment being that JSON of
+    the word less its opening brace, and the key bytes that order as
+    ``IndexedWord.sort_key`` does, in C: the exponents, a zero (a prefix
+    sorts first), then each mark's angle times ``order``, ``width`` bytes
+    each.  ``(order, width)`` grows from the group order to the lcm of the
+    denominators and to fit every code, re-keying the memo.
     """
 
-    def __init__(self) -> None:
-        self._fragments: dict[IndexedWord, str] = {}
+    def __init__(self, order: int = 1) -> None:
+        self._grid = (order, 4)
+        self._entries: dict[IndexedWord, tuple[bytes, str, IndexedWord]] = {}
 
-    def _fragment(self, word: IndexedWord) -> str:
-        text = self._fragments.get(word)
-        if text is None:
-            text = self._fragments[word] = json.dumps(word_to_json(word))[1:]
-        return text
+    def _key(self, word: IndexedWord) -> bytes:
+        order, width = self._grid
+        codes = [s for s, _ in word] + [0]
+        codes += [b.num * (order // b.den) for _, b in word]
+        return b"".join([c.to_bytes(width, "big") for c in codes])
 
-    def _terms(self, lc: LinComb) -> str:
-        # str(int) never needs escaping, so '"{c}"' is json.dumps(str(c))
-        fragment = self._fragment
-        return ", ".join(f'{{"coeff": "{c}", {fragment(w)}'
-                         for w, c in lc.items())
+    def _add(self, word: IndexedWord) -> tuple[bytes, str, IndexedWord]:
+        order = math.lcm(self._grid[0], *(b.den for _, b in word))
+        top = max([order - 1, *(s for s, _ in word)])
+        grid = (order, max(self._grid[1], (top.bit_length() + 7) // 8))
+        if grid != self._grid:
+            self._grid = grid
+            for w, (_, fragment, _) in self._entries.items():
+                self._entries[w] = (self._key(w), fragment, w)
+        entry = self._entries[word] = \
+            (self._key(word), json.dumps(word_to_json(word))[1:], word)
+        return entry
+
+    def _terms(self, lc: LinComb) -> list:
+        """``(entry, coefficient)`` per term, in canonical order."""
+        grid, entries = self._grid, self._entries
+        terms = [(entries.get(w) or self._add(w), c) for w, c in lc.iterterms()]
+        if grid != self._grid:  # re-keyed part-way through
+            terms = [(entries[e[2]], c) for e, c in terms]
+        terms.sort(key=itemgetter(0))  # by entry, so by key: keys differ
+        return terms
 
     def relation(self, rel: Relation) -> str:
-        factors = ", ".join("{" + self._fragment(w) for w in rel.factors)
+        factors = ", ".join("{" + (self._entries.get(w) or self._add(w))[1]
+                            for w in rel.factors)
+        # str(int) never needs escaping, so '"{c}"' is json.dumps(str(c))
+        terms = ", ".join([f'{{"coeff": "{c}", {e[1]}'
+                           for e, c in self._terms(rel.combination)])
         return (f'{{"kind": {json.dumps(rel.kind)}, "factors": [{factors}], '
-                f'"terms": [{self._terms(rel.combination)}]}}')
+                f'"terms": [{terms}]}}')
+
+    def text(self, rel: Relation) -> str:
+        terms = self._terms(rel.combination)
+        return f"{rel.label}: {_format_items([(e[2], c) for e, c in terms])}"
+
+    def latex(self, rel: Relation, group: str) -> str:
+        terms = [(e[2], c) for e, c in self._terms(rel.combination)]
+        rhs = _latex_items(terms, group)
+        if rel.is_zero_sum:
+            return f"{rhs} = 0"
+        style = _latex_style(list(rel.factors) + [w for w, _ in terms], group)
+        return "".join(word_to_latex(w, style) for w in rel.factors) + \
+            f" = {rhs}"
 
 
 def relation_from_json(d: dict) -> Relation:
@@ -321,11 +362,15 @@ def word_to_latex(word: IndexedWord, style: str) -> str:
 
 
 def lincomb_to_latex(lc: LinComb, group: str = "trivial") -> str:
-    if not lc:
+    return _latex_items(lc.items(), group)
+
+
+def _latex_items(items: list, group: str) -> str:
+    if not items:
         return "0"
-    style = _latex_style(lc.words(), group)
+    style = _latex_style([w for w, _ in items], group)
     parts: list[str] = []
-    for word, c in lc.items():
+    for word, c in items:
         mag = abs(c)
         body = word_to_latex(word, style)
         if mag != 1 or word.depth == 0:
@@ -335,12 +380,3 @@ def lincomb_to_latex(lc: LinComb, group: str = "trivial") -> str:
         else:
             parts.append(("+ " if c > 0 else "- ") + body)
     return " ".join(parts)
-
-
-def relation_to_latex(rel: Relation, group: str = "trivial") -> str:
-    style = _latex_style(list(rel.factors) + rel.combination.words(), group)
-    rhs = lincomb_to_latex(rel.combination, group)
-    if rel.is_zero_sum:
-        return f"{rhs} = 0"
-    lhs = "".join(word_to_latex(w, style) for w in rel.factors)
-    return f"{lhs} = {rhs}"

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -10,17 +11,46 @@ import pytest
 import doubleshuffle
 from doubleshuffle import (MINUS_ONE, ONE, GroupElement, IndexedWord, Letter,
                            LinComb, ShuffleWord, quasi_shuffle)
+from doubleshuffle import cli, values
 from doubleshuffle.cli import main
-from doubleshuffle import values
 from doubleshuffle.textio import (JsonLinesWriter, WordSyntaxError,
                                   format_lincomb, lincomb_from_json,
                                   lincomb_to_json, lincomb_to_latex,
                                   parse_indexed_word, parse_shuffle_word,
                                   relation_from_json, relation_to_json)
 from doubleshuffle.values import (Relation, double_shuffle_relations,
-                                  relation_stream)
+                                  indexed_words, relation_stream)
 
 from helpers import zw
+
+
+def reference_line(rel: Relation, fmt: str, group: str) -> str:
+    """A relation's line in ``fmt``, ordered by ``LinComb.items()``."""
+    if fmt == "json":
+        return json.dumps(relation_to_json(rel))
+    if fmt == "latex":
+        assert rel.is_zero_sum
+        return f"{lincomb_to_latex(rel.combination, group)} = 0"
+    return f"{rel.label}: {format_lincomb(rel.combination)}"
+
+
+def writer_line(writer: JsonLinesWriter, rel: Relation, fmt: str,
+                group: str) -> str:
+    if fmt == "json":
+        return writer.relation(rel)
+    if fmt == "latex":
+        return writer.latex(rel, group)
+    return writer.text(rel)
+
+
+def mismatch(got: str, want: str):
+    """None when equal, else the first differing column with some context:
+    pytest's own diff of two long lines can take minutes."""
+    if got == want:
+        return None
+    i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+             min(len(got), len(want)))
+    return i, got[max(i - 40, 0):i + 40], want[max(i - 40, 0):i + 40]
 
 
 class TestIndexedGrammar:
@@ -138,6 +168,46 @@ class TestFormatting:
                     Relation("euler", (zw(2), zw(2)), LinComb())):
             assert writer.relation(rel) == json.dumps(relation_to_json(rel))
             assert relation_from_json(json.loads(writer.relation(rel))) == rel
+
+    def test_writer_orders_mixed_weights_like_sort_key(self):
+        words = [IndexedWord()]
+        for order in (1, 2, 3, 4, 6):
+            for weight in range(1, 7):
+                for depth in range(1, min(weight, 4) + 1):
+                    words += indexed_words(weight, depth, order)
+        random.Random(0).shuffle(words)  # insertion order is no help
+        lc = LinComb((w, i + 1) for i, w in enumerate(words))
+        assert len(lc) > 25000
+        rel = Relation("double-shuffle", (), lc)
+        want = json.dumps(relation_to_json(rel))
+        assert mismatch(JsonLinesWriter().relation(rel), want) is None
+        assert mismatch(JsonLinesWriter(12).relation(rel), want) is None
+
+    @pytest.mark.parametrize("order", [None, 12, 5])
+    def test_writer_rebuilds_keys_as_marks_and_sizes_grow(self, order):
+        """Marks of new denominators and codes past four bytes re-key the
+        memo; the lines still follow ``sort_key``, also for earlier words."""
+        writer = JsonLinesWriter() if order is None else JsonLinesWriter(order)
+        root12 = [w for weight in range(1, 5) for depth in range(1, 4)
+                  for w in indexed_words(weight, depth, 12)]
+        far = GroupElement(1, 2 ** 33 + 1)
+        big = [IndexedWord(p) for p in (
+            ((2 ** 32 - 1, ONE),), ((2 ** 32, ONE),), ((2 ** 40, far),),
+            ((3, far),), ((3, GroupElement(2 ** 33, 2 ** 33 + 1)),),
+            ((2 ** 40, ONE), (1, far)), ((2 ** 40, ONE),))]
+        batches = [
+            [w for w in root12 if all(2 % b.den == 0 for b in w.marks)],
+            [w for w in root12 if all(3 % b.den == 0 for b in w.marks)],
+            root12,
+            root12[::7] + big + [IndexedWord()],
+        ]
+        rels = [Relation("double-shuffle", (),
+                         LinComb((w, i - 3) for i, w in enumerate(batch)))
+                for batch in batches]
+        for rel in rels + rels[:1]:
+            for fmt in ("json", "text", "latex"):
+                assert mismatch(writer_line(writer, rel, fmt, "root:12"),
+                                reference_line(rel, fmt, "root:12")) is None
 
     def test_latex_zeta(self):
         lc = LinComb([(zw(2, 3), 1), (zw(3, 2), 3), (zw(4), -1)])
@@ -312,6 +382,9 @@ class TestCommandLine:
          "factor is missing key 'm'"),
         ('{"kind": "double-shuffle", "factors": []}',
          "record is missing key 'terms'"),
+        ('{}', "record is missing key 'terms'"),
+        ('{"terms": [{"coeff": "1", "s": [2], "m": ["0/1"]}, '
+         '{"coeff": "2", "s": [3]}]}', "term is missing key 'm'"),
     ])
     def test_verify_names_a_missing_key(self, capsys, tmp_path, line, message):
         stream = tmp_path / "bad.jsonl"
@@ -422,6 +495,30 @@ class TestCommandLine:
         _, out, _ = self.run(capsys, "euler", "2", "3")
         assert proc.returncode == 0
         assert proc.stdout == out
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+    @pytest.mark.parametrize("weight, depth, group", [
+        (4, 1, "trivial"), (4, 1, "root:3"), (5, 2, "sign"),
+        (6, 3, "trivial"), (5, 3, "root:3"), (4, 2, "root:12")])
+    def test_relations_lines_equal_the_items_reference(
+            self, capsys, fmt, weight, depth, group):
+        code, out, _ = self.run(capsys, "relations", "--weight", str(weight),
+                                "--depth", str(depth), "--group", group,
+                                "--hoffman", "--format", fmt)
+        assert code == 0
+        order = cli._group_order(group)
+        want = [reference_line(rel, fmt, group) for rel in
+                relation_stream(weight, depth, order, hoffman=True)]
+        assert want and out == "".join(line + "\n" for line in want)
+
+    def test_internal_key_error_propagates(self, monkeypatch):
+        """Only input faults exit 2; a dict miss inside a command is a bug."""
+        def broken(args):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "_cmd_euler", broken)
+        with pytest.raises(KeyError, match="internal"):
+            main(["euler", "2", "3"])
 
     def test_relations_root_group(self, capsys):
         code, out, _ = self.run(capsys, "relations", "--weight", "3",

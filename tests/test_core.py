@@ -198,6 +198,21 @@ class TestWords:
         assert clone == word and hash(clone) == hash(word)
         assert all(a is b for a, b in zip(clone.letters, word.letters))
 
+    def test_letter_words_and_combinations_pickle_at_every_protocol(self):
+        third = GroupElement(1, 3)
+        word = ShuffleWord((Letter(None), Letter(third), Letter(ONE)))
+        index_lc = explicit_product_e(IndexedWord(((2, third), (1, ONE))),
+                                      IndexedWord(((1, MINUS_ONE),)))
+        letter_lc = LinComb([(word, 3), (ShuffleWord(), -2)])
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(word, protocol))
+            assert type(clone) is ShuffleWord and clone == word
+            assert all(a is b for a, b in zip(clone.letters, word.letters))
+            for lc in (index_lc, letter_lc):
+                clone = pickle.loads(pickle.dumps(lc, protocol))
+                assert type(clone) is LinComb and clone == lc
+                assert clone.items() == lc.items()
+
     def test_letter_table_does_not_keep_marks(self):
         key = (1, 10 ** 9 + 9)
         letter = Letter(GroupElement(*key))
