@@ -15,7 +15,7 @@ from .core import DomainError, LinComb
 from .explicit import explicit_product_b, explicit_product_e, perm_product_b
 from .maps import rho
 from .recursive import quasi_shuffle, shuffle
-from .textio import (JsonLinesWriter, WordSyntaxError, format_lincomb,
+from .textio import (RelationWriter, WordSyntaxError, format_lincomb,
                      lincomb_to_json, lincomb_to_latex, parse_indexed_word,
                      parse_shuffle_word, relation_from_json)
 from .values import euler_relation, relation_stream, verify_relation_numeric
@@ -49,7 +49,7 @@ def _print_lincomb(lc: LinComb, args) -> None:
 
 def _print_relations(rels, args) -> None:
     """Print each relation as the iterable yields it."""
-    writer = JsonLinesWriter(args.order)
+    writer = RelationWriter()
     line = {"json": writer.relation, "text": writer.text,
             "latex": lambda rel: writer.latex(rel, args.group)}[args.format]
     for rel in rels:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-from operator import itemgetter
 
 from .core import GroupElement, IndexedWord, Letter, LinComb, ShuffleWord
 from .values import PRODUCT_KINDS, ZERO_SUM_KINDS, Relation
@@ -245,34 +244,33 @@ def relation_to_json(rel: Relation) -> dict:
             "terms": lincomb_to_json(rel.combination)["terms"]}
 
 
-class JsonLinesWriter:
-    """Formats relation lines with one memo entry per distinct word.
+class RelationWriter:
+    """Formats relation lines, JSON, text or LaTeX, with one memo entry per
+    distinct word.
 
     ``relation`` writes the bytes of ``json.dumps(relation_to_json(rel))``.
     An entry is ``(key, fragment, word)``, the fragment being that JSON of
-    the word less its opening brace, and the key bytes that order as
-    ``IndexedWord.sort_key`` does, in C: the exponents, a zero (a prefix
-    sorts first), then each mark's angle times ``order``, ``width`` bytes
-    each.  ``(order, width)`` grows from the group order to the lcm of the
-    denominators and to fit every code, re-keying the memo.
+    the word less its opening brace, and the key a flat tuple of ints that
+    orders as ``IndexedWord.sort_key`` does but compares in C: the
+    exponents, a zero (exponents are >= 1, so a prefix sorts first), then
+    each mark's angle times the lcm of every denominator seen so far.  The
+    memo is re-keyed when that lcm grows.
     """
 
-    def __init__(self, order: int = 1) -> None:
-        self._grid = (order, 4)
-        self._entries: dict[IndexedWord, tuple[bytes, str, IndexedWord]] = {}
+    def __init__(self) -> None:
+        self._order = 1
+        self._entries: dict[IndexedWord, tuple[tuple, str, IndexedWord]] = {}
 
-    def _key(self, word: IndexedWord) -> bytes:
-        order, width = self._grid
+    def _key(self, word: IndexedWord) -> tuple:
+        order = self._order
         codes = [s for s, _ in word] + [0]
         codes += [b.num * (order // b.den) for _, b in word]
-        return b"".join([c.to_bytes(width, "big") for c in codes])
+        return tuple(codes)
 
-    def _add(self, word: IndexedWord) -> tuple[bytes, str, IndexedWord]:
-        order = math.lcm(self._grid[0], *(b.den for _, b in word))
-        top = max([order - 1, *(s for s, _ in word)])
-        grid = (order, max(self._grid[1], (top.bit_length() + 7) // 8))
-        if grid != self._grid:
-            self._grid = grid
+    def _add(self, word: IndexedWord) -> tuple[tuple, str, IndexedWord]:
+        order = math.lcm(self._order, *(b.den for _, b in word))
+        if order != self._order:
+            self._order = order
             for w, (_, fragment, _) in self._entries.items():
                 self._entries[w] = (self._key(w), fragment, w)
         entry = self._entries[word] = \
@@ -281,11 +279,12 @@ class JsonLinesWriter:
 
     def _terms(self, lc: LinComb) -> list:
         """``(entry, coefficient)`` per term, in canonical order."""
-        grid, entries = self._grid, self._entries
+        order, entries = self._order, self._entries
         terms = [(entries.get(w) or self._add(w), c) for w, c in lc.iterterms()]
-        if grid != self._grid:  # re-keyed part-way through
+        if order != self._order:  # re-keyed part-way through
             terms = [(entries[e[2]], c) for e, c in terms]
-        terms.sort(key=itemgetter(0))  # by entry, so by key: keys differ
+        # on the key itself: comparing whole entries tests keys twice
+        terms.sort(key=lambda t: t[0][0])
         return terms
 
     def relation(self, rel: Relation) -> str:

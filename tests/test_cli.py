@@ -13,7 +13,7 @@ from doubleshuffle import (MINUS_ONE, ONE, GroupElement, IndexedWord, Letter,
                            LinComb, ShuffleWord, quasi_shuffle)
 from doubleshuffle import cli, values
 from doubleshuffle.cli import main
-from doubleshuffle.textio import (JsonLinesWriter, WordSyntaxError,
+from doubleshuffle.textio import (RelationWriter, WordSyntaxError,
                                   format_lincomb, lincomb_from_json,
                                   lincomb_to_json, lincomb_to_latex,
                                   parse_indexed_word, parse_shuffle_word,
@@ -34,7 +34,7 @@ def reference_line(rel: Relation, fmt: str, group: str) -> str:
     return f"{rel.label}: {format_lincomb(rel.combination)}"
 
 
-def writer_line(writer: JsonLinesWriter, rel: Relation, fmt: str,
+def writer_line(writer: RelationWriter, rel: Relation, fmt: str,
                 group: str) -> str:
     if fmt == "json":
         return writer.relation(rel)
@@ -151,7 +151,7 @@ class TestFormatting:
 
     @pytest.mark.parametrize("order", [3, 2])
     def test_writer_lines_equal_json_dumps(self, order):
-        writer = JsonLinesWriter()
+        writer = RelationWriter()
         rels = list(relation_stream(6, 3, order, hoffman=True))
         assert any(r.kind == "hoffman" for r in rels)
         for rel in rels:
@@ -162,7 +162,7 @@ class TestFormatting:
         word = IndexedWord(((2, third), (1, MINUS_ONE)))
         lc = LinComb([(word, 2 ** 64 + 1), (zw(4), -(3 ** 50)),
                       (IndexedWord(), 7)])
-        writer = JsonLinesWriter()
+        writer = RelationWriter()
         for rel in (Relation("product", (word, zw(2)), lc),
                     Relation("double-shuffle", (), lc),
                     Relation("euler", (zw(2), zw(2)), LinComb())):
@@ -180,14 +180,13 @@ class TestFormatting:
         assert len(lc) > 25000
         rel = Relation("double-shuffle", (), lc)
         want = json.dumps(relation_to_json(rel))
-        assert mismatch(JsonLinesWriter().relation(rel), want) is None
-        assert mismatch(JsonLinesWriter(12).relation(rel), want) is None
+        assert mismatch(RelationWriter().relation(rel), want) is None
 
-    @pytest.mark.parametrize("order", [None, 12, 5])
-    def test_writer_rebuilds_keys_as_marks_and_sizes_grow(self, order):
-        """Marks of new denominators and codes past four bytes re-key the
-        memo; the lines still follow ``sort_key``, also for earlier words."""
-        writer = JsonLinesWriter() if order is None else JsonLinesWriter(order)
+    def test_writer_rebuilds_keys_as_marks_and_sizes_grow(self):
+        """Marks of new denominators re-key the memo, and big exponents and
+        codes need no width; the lines still follow ``sort_key``, also for
+        earlier words."""
+        writer = RelationWriter()
         root12 = [w for weight in range(1, 5) for depth in range(1, 4)
                   for w in indexed_words(weight, depth, 12)]
         far = GroupElement(1, 2 ** 33 + 1)
