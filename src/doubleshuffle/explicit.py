@@ -202,7 +202,7 @@ def _sources(pair: IndexPair) -> tuple[bool, ...]:
 
 
 def _walk(pair: IndexPair, r: tuple[int, ...],
-          s: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], int]]:
+          s: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
     """Every composition t of the total weight with a nonzero coefficient,
     in lexicographic order, paired with that coefficient.
 
@@ -217,30 +217,33 @@ def _walk(pair: IndexPair, r: tuple[int, ...],
     the last run is forced (t_j = h_j after its first position, factor 1
     throughout), and every visited prefix extends to a term.  The
     coefficient is a running product, one binomial per position.
+
+    The prefixes ``(t, d, c)`` are extended one position at a time, each
+    prefix by its slacks in increasing order, which keeps the terms in
+    lexicographic order.
     """
     h, eps = pair.route(r, s), _sources(pair)
     last = len(h) - 1
-    while last and eps[last - 1] == eps[-1]:
+    while last > 0 and eps[last - 1] == eps[-1]:
         last -= 1
-    if not last:
-        return iter(((tuple(h), 1),))
+    if last <= 0:  # a single run of one source, or the empty word
+        return [(tuple(h), 1)]
     cap = [0] * last
     for i in range(last - 1, -1, -1):
         cap[i] = h[i + 1] - 1 if eps[i + 1] != eps[i] else cap[i + 1]
+    states = [((), 0, 1)]
+    for i in range(last):
+        hi, top = h[i], cap[i] + 1
+        if i and eps[i] != eps[i - 1]:
+            states = [(t + (ti,), e, c * comb(ti - 1, e))
+                      for t, d, c in states for e in range(top)
+                      for ti in (hi + e - d,)]
+        else:
+            states = [(t + (ti,), e, c * comb(ti - 1, hi - 1))
+                      for t, d, c in states for e in range(d, top)
+                      for ti in (hi + e - d,)]
     h_last, rest = h[last], tuple(h[last + 1:])
-
-    def walk(i: int, d: int, t: tuple[int, ...], c: int):
-        hi = h[i]
-        switch = i and eps[i] != eps[i - 1]
-        for e in range(0 if switch else d, cap[i] + 1):
-            ti = hi + e - d
-            ce = c * comb(ti - 1, e if switch else hi - 1)
-            if i + 1 < last:
-                yield from walk(i + 1, e, t + (ti,), ce)
-            else:
-                yield t + (ti, h_last - e) + rest, ce
-
-    return walk(0, 0, (), 1)
+    return [(t + (h_last - d,) + rest, c) for t, d, c in states]
 
 
 @lru_cache(maxsize=1)
@@ -264,31 +267,51 @@ def _merged_marks(merge, a: tuple[GroupElement, ...],
                  for pair in enum_index_pairs(len(a), len(b)))
 
 
-def _closed_form_terms(mu: IndexedWord, nu: IndexedWord, merge,
-                       perm_form: bool = False
-                       ) -> Iterator[tuple[IndexedWord, int]]:
-    """The nonzero terms ``(word, c)`` of the double sum over index pairs
-    and compositions.
+def _closed_form_blocks(mu: IndexedWord, nu: IndexedWord, merge,
+                        perm_form: bool = False
+                        ) -> Iterator[tuple[tuple[GroupElement, ...], list]]:
+    """One block ``(marks, walked)`` per index pair, in index-pair order:
+    the merged marks of the pair and its nonzero ``(t, c)`` terms.
 
     ``merge(pair, a, b)`` routes the mark vectors to the target positions.
     Only the compositions :func:`_walk` visits are expanded.  With
     ``perm_form`` each walked coefficient is recomputed by the permutation
     formula, an independent formula for the same number.
     """
-    r, a = mu.exponents, mu.marks
-    s, b = nu.exponents, nu.marks
-    k = len(r)
-    if not r and not s:
-        yield IndexedWord(), 1
+    r, s = mu.exponents, nu.exponents
+    blocks = zip(_merged_marks(merge, mu.marks, nu.marks), _shape_walks(r, s))
+    if not perm_form:
+        for marks, (_, walked) in blocks:
+            yield marks, walked
         return
-    kappa = r + s
-    for (pair, walked), marks in zip(_shape_walks(r, s),
-                                     _merged_marks(merge, a, b)):
-        sigma = sigma_of_pair(pair) if perm_form else None
-        for t, c in walked:
-            if perm_form:
-                c = _perm_coeff_fast(sigma, kappa, k, t)
-            yield _unchecked_word(zip(t, marks)), c
+    k, kappa = len(r), r + s
+    for marks, (pair, walked) in blocks:
+        sigma = sigma_of_pair(pair)
+        yield marks, [(t, _perm_coeff_fast(sigma, kappa, k, t))
+                      for t, _ in walked]
+
+
+def _closed_form_sum(blocks) -> LinComb:
+    """Sum the blocks in exponent space, then build each word once.
+
+    Two terms share a word exactly when they share the merged marks and
+    the composition t, and the t's of one index pair are distinct, so the
+    sum keeps one ``{t: c}`` dict per merged-mark vector and the first
+    block of each vector goes in whole.  Every walked coefficient is a
+    product of nonzero binomials, so no sum vanishes.
+    """
+    sums: dict = {}
+    for marks, walked in blocks:
+        acc = sums.get(marks)
+        if acc is None:
+            sums[marks] = dict(walked)
+        else:
+            get = acc.get
+            for t, c in walked:
+                acc[t] = get(t, 0) + c
+    return LinComb._wrap({_unchecked_word(zip(t, marks)): c
+                          for marks, acc in sums.items()
+                          for t, c in acc.items()})
 
 
 def explicit_product_b(mu: IndexedWord, nu: IndexedWord) -> LinComb:
@@ -298,13 +321,13 @@ def explicit_product_b(mu: IndexedWord, nu: IndexedWord) -> LinComb:
     An empty factor is absorbed by the degenerate pair convention, under
     which the coefficient collapses to a Kronecker delta.
     """
-    return LinComb(_closed_form_terms(mu, nu, merge_marks_b))
+    return _closed_form_sum(_closed_form_blocks(mu, nu, merge_marks_b))
 
 
 def explicit_product_e(mu: IndexedWord, nu: IndexedWord) -> LinComb:
     """Closed form of ``maps.product_e``: same coefficients as the b-form,
     with the quotient-coordinate mark merge."""
-    return LinComb(_closed_form_terms(mu, nu, merge_marks_e))
+    return _closed_form_sum(_closed_form_blocks(mu, nu, merge_marks_e))
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +402,8 @@ def _perm_coeff_fast(sigma: tuple[int, ...], kappa: tuple[int, ...], k: int,
 
 def perm_product_b(mu: IndexedWord, nu: IndexedWord) -> LinComb:
     """The b-form product computed through the permutation formulation."""
-    return LinComb(_closed_form_terms(mu, nu, merge_marks_b, perm_form=True))
+    return _closed_form_sum(_closed_form_blocks(mu, nu, merge_marks_b,
+                                                perm_form=True))
 
 
 # ---------------------------------------------------------------------------

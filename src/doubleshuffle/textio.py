@@ -176,6 +176,14 @@ def word_to_json(word: IndexedWord) -> dict:
     return {"s": [s for s, _ in word], "m": [str(b) for _, b in word]}
 
 
+def _word_fragment(word: IndexedWord) -> str:
+    """``json.dumps(word_to_json(word))`` less its opening brace, formatted
+    directly: ints and ``p/q`` marks never need escaping."""
+    return '"s": [%s], "m": [%s]}' % (
+        ", ".join([str(s) for s, _ in word]),
+        ", ".join(['"%d/%d"' % (b.num, b.den) for _, b in word]))
+
+
 def _field(d: dict, key: str, where: str):
     """``d[key]``; a missing key is a one-line error naming it and where."""
     try:
@@ -274,7 +282,7 @@ class RelationWriter:
             for w, (_, fragment, _) in self._entries.items():
                 self._entries[w] = (self._key(w), fragment, w)
         entry = self._entries[word] = \
-            (self._key(word), json.dumps(word_to_json(word))[1:], word)
+            (self._key(word), _word_fragment(word), word)
         return entry
 
     def _terms(self, lc: LinComb) -> list:

@@ -14,10 +14,11 @@ from doubleshuffle import (MINUS_ONE, ONE, GroupElement, IndexedWord, Letter,
 from doubleshuffle import cli, values
 from doubleshuffle.cli import main
 from doubleshuffle.textio import (RelationWriter, WordSyntaxError,
-                                  format_lincomb, lincomb_from_json,
-                                  lincomb_to_json, lincomb_to_latex,
-                                  parse_indexed_word, parse_shuffle_word,
-                                  relation_from_json, relation_to_json)
+                                  _word_fragment, format_lincomb,
+                                  lincomb_from_json, lincomb_to_json,
+                                  lincomb_to_latex, parse_indexed_word,
+                                  parse_shuffle_word, relation_from_json,
+                                  relation_to_json, word_to_json)
 from doubleshuffle.values import (Relation, double_shuffle_relations,
                                   indexed_words, relation_stream)
 
@@ -168,6 +169,20 @@ class TestFormatting:
                     Relation("euler", (zw(2), zw(2)), LinComb())):
             assert writer.relation(rel) == json.dumps(relation_to_json(rel))
             assert relation_from_json(json.loads(writer.relation(rel))) == rel
+
+    def test_word_fragment_equals_json_dumps(self):
+        words = [IndexedWord()]
+        for order in (1, 2, 3, 12):
+            for weight in range(1, 6):
+                for depth in range(1, min(weight, 3) + 1):
+                    words += indexed_words(weight, depth, order)
+        far = GroupElement(2 ** 33, 2 ** 33 + 1)
+        words += [IndexedWord(p) for p in (
+            ((2 ** 33, ONE),), ((2 ** 40 + 7, far),), ((3, far), (2 ** 33, ONE)),
+            ((1, GroupElement(1, 2 ** 64)), (2, MINUS_ONE)))]
+        for word in words:
+            assert _word_fragment(word) == \
+                json.dumps(word_to_json(word))[1:], word
 
     def test_writer_orders_mixed_weights_like_sort_key(self):
         words = [IndexedWord()]

@@ -1,5 +1,7 @@
 """Coefficient calculus, index-pair machinery, and the closed-form products."""
 
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +14,7 @@ from doubleshuffle import (MINUS_ONE, ONE, DomainError, GroupElement,
                            perm_coeff, perm_product_b, product_b, product_e,
                            sigma_of_pair)
 from doubleshuffle.core import LinComb
-from doubleshuffle.explicit import (IndexPair, _closed_form_terms,
+from doubleshuffle.explicit import (IndexPair, _closed_form_blocks,
                                     _merged_marks, _shape_walks, _walk,
                                     amp, dagger,
                                     extend_phi_leading, extend_psi_leading,
@@ -345,24 +347,32 @@ def exponent_vectors(weight, n):
     return list(enum_compositions(weight, n))
 
 
+@lru_cache(maxsize=None)
+def unpruned_coefficients(r, s):
+    """Per index pair, every composition t of the total weight with its
+    coefficient, zeros dropped; the marks play no part."""
+    total, n = sum(r) + sum(s), len(r) + len(s)
+    return [(pair, [(t, c) for t in enum_compositions(total, n)
+                    if (c := coeff(pair, r, s, t))])
+            for pair in enum_index_pairs(len(r), len(s))]
+
+
 def unpruned_terms(mu, nu, merge):
     """The closed-form terms by the definition: every index pair, every
     composition of the total weight, the coefficient of each, zeros dropped."""
-    r, s = mu.exponents, nu.exponents
-    total = mu.weight + nu.weight
-    for pair in enum_index_pairs(len(r), len(s)):
+    for pair, terms in unpruned_coefficients(mu.exponents, nu.exponents):
         marks = merge(pair, mu.marks, nu.marks)
-        for t in enum_compositions(total, len(r) + len(s)):
-            c = coeff(pair, r, s, t)
-            if c:
-                yield IndexedWord(tuple(zip(t, marks))), c
+        for t, c in terms:
+            yield IndexedWord(tuple(zip(t, marks))), c
 
 
 def closed_form_words(mu, nu, merge, perm_form=False):
-    """The terms of ``_closed_form_terms``, each raw pairs tuple read back
-    through the checking ``IndexedWord`` constructor."""
-    return [(IndexedWord(pairs), c)
-            for pairs, c in _closed_form_terms(mu, nu, merge, perm_form)]
+    """The blocks of ``_closed_form_blocks`` flattened to ``(word, c)``
+    terms, each word built through the checking ``IndexedWord``
+    constructor."""
+    return [(IndexedWord(zip(t, marks)), c)
+            for marks, walked in _closed_form_blocks(mu, nu, merge, perm_form)
+            for t, c in walked]
 
 
 class TestPrunedWalk:
@@ -392,6 +402,25 @@ class TestPrunedWalk:
                 for merge in (merge_marks_b, merge_marks_e):
                     assert closed_form_words(mu, nu, merge) == \
                         list(unpruned_terms(mu, nu, merge))
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_summed_products_match_unpruned_sum(self, order):
+        """Every pair of words of total weight <= 6: terms that share their
+        merged marks, within one index pair or across pairs, sum as in the
+        definition, on all three closed-form routes."""
+        by_weight = [[] for _ in range(7)]
+        for w in all_indexed_words(6, order=order):
+            by_weight[w.weight].append(w)
+        # the unpruned sum has no composition of 0; unit * unit is checked
+        # in TestExplicitProducts
+        pairs = [(mu, nu) for wa in range(7) for wb in range(7 - wa)
+                 if wa + wb for mu in by_weight[wa] for nu in by_weight[wb]]
+        for mu, nu in pairs:
+            want_b = LinComb(unpruned_terms(mu, nu, merge_marks_b))
+            want_e = LinComb(unpruned_terms(mu, nu, merge_marks_e))
+            assert explicit_product_b(mu, nu) == want_b, (mu, nu)
+            assert perm_product_b(mu, nu) == want_b, (mu, nu)
+            assert explicit_product_e(mu, nu) == want_e, (mu, nu)
 
     def test_perm_coefficients_match_e_form_term_by_term(self):
         mu = IndexedWord(((2, GroupElement(1, 3)), (1, ONE), (3, ONE)))
