@@ -269,7 +269,8 @@ def _merged_marks(merge, a: tuple[GroupElement, ...],
 
 def _closed_form_blocks(mu: IndexedWord, nu: IndexedWord, merge,
                         perm_form: bool = False
-                        ) -> Iterator[tuple[tuple[GroupElement, ...], list]]:
+                        ) -> Iterator[tuple[tuple[GroupElement, ...],
+                                            tuple | list]]:
     """One block ``(marks, walked)`` per index pair, in index-pair order:
     the merged marks of the pair and its nonzero ``(t, c)`` terms.
 
@@ -291,7 +292,7 @@ def _closed_form_blocks(mu: IndexedWord, nu: IndexedWord, merge,
                       for t, _ in walked]
 
 
-def _closed_form_sum(blocks) -> LinComb:
+def _closed_form_sum(blocks: Iterator[tuple]) -> LinComb:
     """Sum the blocks in exponent space, then build each word once.
 
     Two terms share a word exactly when they share the merged marks and
