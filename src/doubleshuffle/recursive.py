@@ -2,10 +2,10 @@
 
 These recursions are the reference implementations ("oracle path") that the
 closed-form expansion in :mod:`doubleshuffle.explicit` is checked against.
-Both recursions are memoized on the word pair in a bounded least-recently-used
-table (``cache_info()`` reports its use); repeated subproblems dominate the
-cost from weight ~12 on, and the cache is idempotent so sharing it between
-threads is safe.
+Both run one memoised quasi-shuffle recursion on letter tuples, each with its
+own bracket of leading letters (zero for interleaving, (s,b),(t,c) ->
+(s+t, b*c) for merging) and its own bounded LRU table (``cache_info()``); the
+tables are idempotent, so sharing them between threads is safe.
 """
 
 from __future__ import annotations
@@ -20,17 +20,27 @@ from .core import (DomainError, GroupElement, IndexedWord, LinComb, ShuffleWord,
 _MEMO_SIZE = 2 ** 15
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _shuffle_letters(u: tuple, v: tuple) -> dict:
-    """:func:`shuffle` on letter tuples, as ``{letters: coefficient}``; the
-    dict is the memo's own, so callers read it and never change it."""
-    if not u or not v:
-        return {u + v: 1}
-    out = {(u[0],) + w: c for w, c in _shuffle_letters(u[1:], v).items()}
-    for w, c in _shuffle_letters(u, v[1:]).items():
-        w = (v[0],) + w
-        out[w] = out.get(w, 0) + c
-    return out
+def _quasi_shuffle(bracket):
+    """a.u * b.v = a.(u * b.v) + b.(a.u * v) + [a,b].(u * v) on letter tuples, as
+    memo-owned ``{letters: coefficient}`` dicts; ``bracket`` gives None for 0."""
+    @lru_cache(maxsize=_MEMO_SIZE)
+    def product(u: tuple, v: tuple) -> dict:
+        if not u or not v:
+            return {u + v: 1}
+        a, b = u[0], v[0]
+        out = {(a,) + w: c for w, c in product(u[1:], v).items()}
+        for head, left, right in ((b, u, v[1:]), (bracket(a, b), u[1:], v[1:])):
+            if head is None:
+                continue
+            for w, c in product(left, right).items():
+                w = (head,) + w
+                out[w] = out.get(w, 0) + c
+        return out
+    return product
+
+
+_shuffle_letters = _quasi_shuffle(lambda a, b: None)
+_stuffle_pairs = _quasi_shuffle(lambda a, b: (a[0] + b[0], a[1] * b[1]))
 
 
 def shuffle(u: ShuffleWord, v: ShuffleWord) -> LinComb:
@@ -44,28 +54,18 @@ def shuffle(u: ShuffleWord, v: ShuffleWord) -> LinComb:
                           in _shuffle_letters(u.letters, v.letters).items()})
 
 
-shuffle.cache_info = _shuffle_letters.cache_info
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
 def quasi_shuffle(mu: IndexedWord, nu: IndexedWord) -> LinComb:
     """Interleavings where the two leading pairs may also merge into one.
 
     Merging adds exponents and multiplies marks, so over the trivial group
     this is the classical sum-representation product rule.
     """
-    if not mu:
-        return LinComb.single(nu)
-    if not nu:
-        return LinComb.single(mu)
-    (s1, b1), (s2, b2) = mu[0], nu[0]
-    mu_tail, nu_tail = _unchecked_word(mu[1:]), _unchecked_word(nu[1:])
-    merged = (s1 + s2, b1 * b2)
-    return LinComb((_unchecked_word((head,) + w), c)
-                   for head, left, right in ((mu[0], mu_tail, nu),
-                                             (nu[0], mu, nu_tail),
-                                             (merged, mu_tail, nu_tail))
-                   for w, c in quasi_shuffle(left, right).iterterms())
+    return LinComb._wrap({_unchecked_word(w): c
+                          for w, c in _stuffle_pairs(mu, nu).items()})
+
+
+shuffle.cache_info = _shuffle_letters.cache_info
+quasi_shuffle.cache_info = _stuffle_pairs.cache_info
 
 
 def op_P(x: LinComb) -> LinComb:

@@ -81,13 +81,39 @@ class TestQuasiShuffle:
                             (IndexedWord(((2, ONE),)), 1)])
         assert quasi_shuffle(m, m) == expected
 
-    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("order", [1, 2, 3])
     def test_matches_bruteforce(self, order):
+        # order 3 is the first where a mark is not its own inverse, so it
+        # tells a product of marks from a quotient
         words = all_indexed_words(4, order=order)
         for mu in words:
             for nu in words:
                 if mu.weight + nu.weight <= 5:
                     assert quasi_shuffle(mu, nu) == brute_quasi_shuffle(mu, nu)
+
+    def test_terms_are_index_words(self):
+        lc = quasi_shuffle(zw(2, 1), IndexedWord(((1, MINUS_ONE),)))
+        assert lc and all(type(w) is IndexedWord for w in lc.words())
+
+    def test_results_do_not_share_the_memo(self):
+        mu, nu = zw(2, 1), IndexedWord(((1, MINUS_ONE), (2, ONE)))
+        first = quasi_shuffle(mu, nu)
+        expected = brute_quasi_shuffle(mu, nu)
+        assert first == expected
+        for changed in (-first, first - expected, first - first, first * 3):
+            assert changed != expected
+            assert quasi_shuffle(mu, nu) == expected
+        assert first == expected
+
+    def test_products_keep_separate_memos(self):
+        mu, nu = zw(3, 1), IndexedWord(((2, MINUS_ONE), (1, ONE)))
+        u, v = sword(X0, Letter(MINUS_ONE), X1), sword(X1, X0, X1)
+        for product, a, b, other in ((quasi_shuffle, mu, nu, shuffle),
+                                     (shuffle, u, v, quasi_shuffle)):
+            own, untouched = product.cache_info(), other.cache_info()
+            product(a, b)
+            assert product.cache_info() != own
+            assert other.cache_info() == untouched
 
 
 class TestProductLaws:
