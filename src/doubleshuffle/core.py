@@ -155,11 +155,6 @@ class Letter:
             return "1"
         return f"[{self.mark}]"
 
-    def sort_key(self):
-        if self.mark is None:
-            return (0,)
-        return (1, self.mark)
-
 
 ZERO_LETTER = Letter(None)  # held here, so its table entry never goes
 
@@ -206,7 +201,13 @@ class ShuffleWord:
         return " ".join(str(a) for a in self.letters)
 
     def sort_key(self):
-        return tuple(a.sort_key() for a in self.letters)
+        """Shaped like ``IndexedWord.sort_key``: per letter ``0`` when it is
+        unmarked, else ``1``, the mark's angle as a float and the mark."""
+        key = []
+        for a in self.letters:
+            b = a.mark
+            key += (0,) if b is None else (1, b.num / b.den, b)
+        return tuple(key)
 
 
 class IndexedWord(tuple):
@@ -284,9 +285,18 @@ class IndexedWord(tuple):
         return f"({exps}|{marks})"
 
     def sort_key(self):
-        """``(exponents, marks)``, transposed in one pass: the canonical
-        order compares all exponents before any mark, unlike tuple order."""
-        return tuple(zip(*self)) or ((), ())
+        """The canonical order as one flat tuple that compares in C: the
+        exponents, a ``0`` (exponents are >= 1, so a prefix sorts first),
+        then per mark its angle as a float and the mark itself.  The mark
+        settles exactly (``GroupElement.__lt__``), at its own position, two
+        angles that round to one float."""
+        key, tail = [], [0]
+        for s, b in self:
+            key.append(s)
+            tail.append(b.num / b.den)
+            tail.append(b)
+        key += tail
+        return tuple(key)
 
 
 # The word of pairs whose exponents are already known to be >= 1, built in

@@ -16,7 +16,6 @@ round trip.
 from __future__ import annotations
 
 import json
-import math
 
 from .core import GroupElement, IndexedWord, Letter, LinComb, ShuffleWord
 from .values import PRODUCT_KINDS, ZERO_SUM_KINDS, Relation
@@ -257,40 +256,22 @@ class RelationWriter:
     distinct word.
 
     ``relation`` writes the bytes of ``json.dumps(relation_to_json(rel))``.
-    An entry is ``(key, fragment, word)``, the fragment being that JSON of
-    the word less its opening brace, and the key a flat tuple of ints that
-    orders as ``IndexedWord.sort_key`` does but compares in C: the
-    exponents, a zero (exponents are >= 1, so a prefix sorts first), then
-    each mark's angle times the lcm of every denominator seen so far.  The
-    memo is re-keyed when that lcm grows.
+    An entry is ``(word.sort_key(), fragment, word)``, the fragment being
+    that JSON of the word less its opening brace.
     """
 
     def __init__(self) -> None:
-        self._order = 1
         self._entries: dict[IndexedWord, tuple[tuple, str, IndexedWord]] = {}
 
-    def _key(self, word: IndexedWord) -> tuple:
-        order = self._order
-        codes = [s for s, _ in word] + [0]
-        codes += [b.num * (order // b.den) for _, b in word]
-        return tuple(codes)
-
     def _add(self, word: IndexedWord) -> tuple[tuple, str, IndexedWord]:
-        order = math.lcm(self._order, *(b.den for _, b in word))
-        if order != self._order:
-            self._order = order
-            for w, (_, fragment, _) in self._entries.items():
-                self._entries[w] = (self._key(w), fragment, w)
         entry = self._entries[word] = \
-            (self._key(word), _word_fragment(word), word)
+            (word.sort_key(), _word_fragment(word), word)
         return entry
 
     def _terms(self, lc: LinComb) -> list:
         """``(entry, coefficient)`` per term, in canonical order."""
-        order, entries = self._order, self._entries
+        entries = self._entries
         terms = [(entries.get(w) or self._add(w), c) for w, c in lc.iterterms()]
-        if order != self._order:  # re-keyed part-way through
-            terms = [(entries[e[2]], c) for e, c in terms]
         # on the key itself: comparing whole entries tests keys twice
         terms.sort(key=lambda t: t[0][0])
         return terms

@@ -449,7 +449,11 @@ def verify_relation_numeric(rel: Relation, n_terms: int, tol: float,
     bound = tol
     for word, c in terms:
         val = mpl_numeric(word, n_terms, allow_conditional)
-        total += c * val.value
+        try:
+            total += c * val.value
+        except OverflowError:  # the int does not fit a float
+            raise ValueError(f"coefficient of {word} is too large to "
+                             "sum numerically") from None
         bound += abs(c) * val.tail_estimate
     if rel.is_zero_sum:
         lhs = 0.0 + 0j

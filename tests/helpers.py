@@ -1,5 +1,6 @@
 """Shared builders and enumerators for the test suite."""
 
+from fractions import Fraction
 from itertools import product as iter_product
 
 from doubleshuffle import (GroupElement, IndexedWord, Letter, ShuffleWord,
@@ -14,6 +15,18 @@ def zw(*exponents):
 
 def mw(exponents, marks):
     return IndexedWord.from_parts(exponents, marks)
+
+
+def fraction_key(word):
+    """The canonical word order, built apart from the package's keys: an
+    index word by exponents, then by angles; a letter word letter by
+    letter, the unmarked letter first.  Angles are exact ``Fraction``s."""
+    if isinstance(word, ShuffleWord):
+        return tuple((0,) if a.mark is None
+                     else (1, Fraction(a.mark.num, a.mark.den))
+                     for a in word.letters)
+    return (word.exponents,
+            tuple(Fraction(b.num, b.den) for b in word.marks))
 
 
 def letter_alphabet(order):

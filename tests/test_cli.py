@@ -1,5 +1,6 @@
 """Word grammar, emitters, and the command line surface."""
 
+import hashlib
 import json
 import os
 import random
@@ -22,7 +23,7 @@ from doubleshuffle.textio import (RelationWriter, WordSyntaxError,
 from doubleshuffle.values import (Relation, double_shuffle_relations,
                                   indexed_words, relation_stream)
 
-from helpers import zw
+from helpers import fraction_key, zw
 
 
 def reference_line(rel: Relation, fmt: str, group: str) -> str:
@@ -194,13 +195,15 @@ class TestFormatting:
         lc = LinComb((w, i + 1) for i, w in enumerate(words))
         assert len(lc) > 25000
         rel = Relation("double-shuffle", (), lc)
-        want = json.dumps(relation_to_json(rel))
+        terms = sorted(lc.iterterms(), key=lambda kv: fraction_key(kv[0]))
+        want = json.dumps({"kind": rel.kind, "factors": [], "terms": [
+            {"coeff": str(c), **word_to_json(w)} for w, c in terms]})
         assert mismatch(RelationWriter().relation(rel), want) is None
 
     def test_writer_rebuilds_keys_as_marks_and_sizes_grow(self):
-        """Marks of new denominators re-key the memo, and big exponents and
-        codes need no width; the lines still follow ``sort_key``, also for
-        earlier words."""
+        """Marks of new denominators, big exponents and angles near a full
+        turn arrive relation by relation; the lines, also of words met
+        earlier, still follow ``LinComb.items()``."""
         writer = RelationWriter()
         root12 = [w for weight in range(1, 5) for depth in range(1, 4)
                   for w in indexed_words(weight, depth, 12)]
@@ -377,6 +380,7 @@ class TestCommandLine:
         '{"terms": [{"coeff": "1", "s": [2], "m": [7]}]}',
         '{"terms": [{"coeff": null, "s": [2], "m": ["0/1"]}]}',
         '{"terms": [{"coeff": 1.7, "s": [2], "m": ["0/1"]}]}',
+        '{"terms": [{"coeff": "%s", "s": [2], "m": ["0/1"]}]}' % ("9" * 400),
     ])
     def test_verify_rejects_misshapen_records(self, capsys, tmp_path, line):
         stream = tmp_path / "bad.jsonl"
@@ -524,6 +528,28 @@ class TestCommandLine:
         want = [reference_line(rel, fmt, group) for rel in
                 relation_stream(weight, depth, order, hoffman=True)]
         assert want and out == "".join(line + "\n" for line in want)
+
+    def test_relations_text_and_latex_bytes_are_pinned(self, capsys):
+        """sha256 of lines printed before the writer and ``LinComb.items()``
+        shared one key, so the order is checked against more than that key."""
+        pinned = [
+            ("root:12", 5, 2, "text", "54b2b2ec24cd1ee255f97b46b233729f"
+                                      "3b82e1a7a90e38950928ea2ca874ce96"),
+            ("root:12", 5, 2, "latex", "8b87ef3830e99232824d2d8e58f4af3c"
+                                       "ad871970c771c8438a8a73f47f58a488"),
+            ("sign", 6, 3, "text", "30c37003fab42cd3249821faa9565c69"
+                                   "8fffede4d9336b12d844e646f8f69388"),
+            ("sign", 6, 3, "latex", "5daf0a94108c9d94fd4a75d6922efdd2"
+                                    "8a1d0e59858871da90d6eee33af7ae89"),
+        ]
+        for group, weight, depth, fmt, digest in pinned:
+            code, out, _ = self.run(capsys, "relations", "--weight",
+                                    str(weight), "--depth", str(depth),
+                                    "--group", group, "--hoffman",
+                                    "--format", fmt)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, \
+                (group, fmt)
 
     def test_internal_key_error_propagates(self, monkeypatch):
         """Only input faults exit 2; a dict miss inside a command is a bug."""

@@ -17,8 +17,11 @@ from doubleshuffle import (MINUS_ONE, ONE, GroupElement, IndexedWord, Letter,
                            explicit_product_b, explicit_product_e,
                            group_elements, perm_product_b, quasi_shuffle)
 from doubleshuffle.core import _unchecked_word
+from doubleshuffle.textio import RelationWriter
+from doubleshuffle.values import Relation
 
-from helpers import zw
+from helpers import (all_indexed_words, all_shuffle_words, fraction_key,
+                     zw)
 
 
 class TestGroupElement:
@@ -313,27 +316,57 @@ class TestLinComb:
                  for j1 in range(0, 12, 5) for j2 in range(12)]
         words += [IndexedWord(((3, b),)) for b in marks]
         x = LinComb((w, i + 1) for i, w in enumerate(words))
-
-        def old_key(kv):
-            w = kv[0]
-            return (w.exponents, tuple(Fraction(b.num, b.den) for b in w.marks))
-
-        assert x.items() == sorted(x.iterterms(), key=old_key)
+        by_fractions = lambda kv: fraction_key(kv[0])  # noqa: E731
+        assert x.items() == sorted(x.iterterms(), key=by_fractions)
         letters = [Letter(None)] + [Letter(b) for b in reversed(marks)]
         y = LinComb((ShuffleWord(p), 1) for p in iter_product(letters, repeat=2))
+        assert y.items() == sorted(y.iterterms(), key=by_fractions)
 
-        def old_letter_key(kv):
-            return tuple((0, Fraction(0)) if a.mark is None
-                         else (1, Fraction(a.mark.num, a.mark.den))
-                         for a in kv[0].letters)
+    def test_sort_key_orders_as_the_fraction_reference(self):
+        """Both word types, over the empty word, prefixes and mixed depths,
+        and two angles that round to one float: the tie at position 1 is
+        settled by the marks there, although position 2 orders the other
+        way."""
+        lo = GroupElement(2 ** 60, 2 ** 60 + 1)
+        hi = GroupElement(2 ** 60 + 1, 2 ** 60 + 2)
+        assert lo.num / lo.den == hi.num / hi.den and lo < hi
+        marks = group_elements(12)[::5] + [lo, hi]
+        tied = [IndexedWord(((1, lo), (2, GroupElement(5, 12)))),
+                IndexedWord(((1, hi), (2, ONE)))]
+        assert tied[0].sort_key() < tied[1].sort_key()
+        words = [IndexedWord(zip(exps, ms))
+                 for exps in ((), (1,), (2,), (4,), (1, 2), (2, 1), (2, 2),
+                              (3, 1), (1, 1, 1), (2, 1, 1), (1, 1, 2))
+                 for ms in iter_product(marks, repeat=len(exps))]
+        assert set(tied) <= set(words)
+        letters = [Letter(None)] + [Letter(b) for b in marks]
+        letter_words = [ShuffleWord(p) for n in range(4)
+                        for p in iter_product(letters, repeat=n)]
+        for ws in (words, letter_words):
+            assert sorted(ws, key=lambda w: w.sort_key()) == \
+                sorted(ws, key=fraction_key)
 
-        assert y.items() == sorted(y.iterterms(), key=old_letter_key)
+    def test_sorting_without_float_ties_compares_no_marks_in_python(
+            self, monkeypatch):
+        """Over root:12 every mark comparison is settled by the angle
+        floats; ``GroupElement.__lt__`` runs only on a float tie."""
+        calls = []
+        exact = GroupElement.__lt__
 
-    def test_sort_key_is_exponents_then_marks(self):
-        third = GroupElement(1, 3)
-        for w in (IndexedWord(), zw(2), IndexedWord(((2, third), (1, ONE))),
-                  IndexedWord(((1, MINUS_ONE), (3, third), (2, ONE)))):
-            assert w.sort_key() == (w.exponents, w.marks)
+        def counting(a, b):
+            calls.append((a, b))
+            return exact(a, b)
+
+        monkeypatch.setattr(GroupElement, "__lt__", counting)
+        x = LinComb((w, 1) for w in all_indexed_words(5, 3, 12))
+        y = LinComb((w, 1) for w in all_shuffle_words(2, 12))
+        rel = Relation("double-shuffle", (), x)
+        assert x.items() and y.items() and RelationWriter().text(rel)
+        assert calls == []
+        tie = LinComb((IndexedWord(((1, GroupElement(n, n + 1)),)), 1)
+                      for n in (2 ** 60 + 1, 2 ** 60))
+        assert [w[0][1].num for w in tie.words()] == [2 ** 60, 2 ** 60 + 1]
+        assert calls
 
     @given(_linc, _linc, _linc)
     def test_addition_associative(self, x, y, z):
