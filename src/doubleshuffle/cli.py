@@ -1,7 +1,7 @@
 """Command line surface.
 
 Exit status: 0 on success, 1 when ``verify`` finds a failing relation,
-2 on malformed input (word syntax, JSON, or argument domain errors).
+2 on malformed input (word syntax, JSON, argument domain, or nesting too deep).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from .core import DomainError, LinComb
 from .explicit import explicit_product_b, explicit_product_e, perm_product_b
 from .maps import rho
 from .recursive import quasi_shuffle, shuffle
-from .textio import (RelationWriter, WordSyntaxError, format_lincomb,
+from .textio import (RelationWriter, WordSyntaxError, _decimal, format_lincomb,
                      lincomb_to_json, lincomb_to_latex, parse_indexed_word,
                      parse_shuffle_word, relation_from_json)
 from .values import euler_relation, relation_stream, verify_relation_numeric
@@ -26,15 +26,12 @@ def _group_order(name: str) -> int:
         return 1
     if name == "sign":
         return 2
-    if name.startswith("root:"):
-        try:
-            n = int(name.split(":", 1)[1])
-        except ValueError:
-            pass
-        else:
-            if n < 1:
-                raise ValueError("group order must be >= 1")
-            return n
+    kind, _, order = name.partition(":")
+    n = _decimal(order) if kind == "root" else None
+    if n is not None:
+        if n < 1:
+            raise ValueError("group order must be >= 1")
+        return n
     raise ValueError(f"unknown group {name!r} (use trivial, sign or root:N)")
 
 
@@ -215,8 +212,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.order = _group_order(args.group)
         return args.func(args)
-    except (WordSyntaxError, DomainError, ValueError,
-            json.JSONDecodeError) as exc:
+    except (WordSyntaxError, DomainError, ValueError, json.JSONDecodeError,
+            RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

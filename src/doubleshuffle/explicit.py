@@ -118,30 +118,22 @@ def coeff_factor(pair: IndexPair, r: tuple[int, ...], s: tuple[int, ...],
                  t: tuple[int, ...], i: int) -> int:
     """The i-th binomial factor of the expansion coefficient.
 
-    Within a run of positions drawn from the same source the factor is
-    C(t_i - 1, h_i - 1); at a source switch it is C(t_i - 1, T_i - H_i)
-    with T, H the prefix sums of t and h.
+    Within a run of positions drawn from the same source (position 1
+    opens one) the factor is C(t_i - 1, h_i - 1); at a source switch it is
+    C(t_i - 1, T_i - H_i) with T, H the prefix sums of t and h.
     """
-    if i == 1 or epsilon(pair, i) == epsilon(pair, i - 1):
-        return binomial(t[i - 1] - 1, h_value(pair, r, s, i) - 1)
-    ti = sum(t[:i])
-    hi = sum(h_value(pair, r, s, j) for j in range(1, i + 1))
-    return binomial(t[i - 1] - 1, ti - hi)
+    h = pair.route(r, s)
+    if epsilon(pair, i) == epsilon(pair, max(i - 1, 1)):
+        return binomial(t[i - 1] - 1, h[i - 1] - 1)
+    return binomial(t[i - 1] - 1, sum(t[:i]) - sum(h[:i]))
 
 
 def coeff(pair: IndexPair, r: tuple[int, ...], s: tuple[int, ...],
           t: tuple[int, ...]) -> int:
-    """Product of all position factors; the expansion coefficient of t."""
-    h, eps = pair.route(r, s), _sources(pair)
+    """Product of the position factors; the expansion coefficient of t."""
     c = 1
-    tsum = hsum = 0
-    for i, ti in enumerate(t):
-        tsum += ti
-        hsum += h[i]
-        if i == 0 or eps[i] == eps[i - 1]:
-            f = binomial(ti - 1, h[i] - 1)
-        else:
-            f = binomial(ti - 1, tsum - hsum)
+    for i in range(1, len(t) + 1):
+        f = coeff_factor(pair, r, s, t, i)
         if not f:
             return 0
         c *= f

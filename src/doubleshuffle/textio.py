@@ -61,7 +61,7 @@ class _Scanner:
         if self.i < len(self.text) and self.text[self.i] == "-":
             self.i += 1
         digits = self.i
-        while self.i < len(self.text) and self.text[self.i].isdigit():
+        while self.i < len(self.text) and "0" <= self.text[self.i] <= "9":
             self.i += 1
         if self.i == digits:
             raise self.error(f"expected {what}", start)
@@ -232,15 +232,23 @@ def lincomb_from_json(d: dict) -> LinComb:
                    for t in _field(d, "terms", "record"))
 
 
+def _decimal(text: str) -> int | None:
+    """The integer that an optional '-' and ASCII digits spell, else None:
+    the integer syntax of words, read here for ``root:N`` and coefficients."""
+    digits = text.removeprefix("-")
+    try:
+        return int(text) if digits.isascii() and digits.isdigit() else None
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 def _coeff_from_json(value) -> int:
     """A coefficient: a decimal string as emitted, or a JSON integer."""
     if type(value) is int:
         return value
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
+    c = _decimal(value) if isinstance(value, str) else None
+    if c is not None:
+        return c
     raise WordSyntaxError("coefficient must be a decimal integer string",
                           str(value), 0)
 

@@ -94,6 +94,10 @@ class TestIndexedGrammar:
             parse_indexed_word("(2,1|1/2)")
         with pytest.raises(WordSyntaxError):
             parse_indexed_word("(2) junk")
+        with pytest.raises(WordSyntaxError) as err:
+            parse_indexed_word("(\u00b2)")  # a superscript two is no exponent
+        assert err.value.pos == 1
+        assert "expected an exponent" in str(err.value)
 
 
 class TestShuffleGrammar:
@@ -121,6 +125,9 @@ class TestShuffleGrammar:
             parse_shuffle_word("0 [1/2 1")
         with pytest.raises(WordSyntaxError):
             parse_shuffle_word("[1/]")
+        with pytest.raises(WordSyntaxError) as err:
+            parse_shuffle_word("[1/\u00b2]")
+        assert err.value.pos == 3
 
 
 class TestFormatting:
@@ -311,6 +318,16 @@ class TestCommandLine:
         assert code == 2
         assert "column" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("stuffle", "(" + ",".join(["2"] * 500) + ")", "(2)"),
+        ("shuffle", "0 " * 499 + "1", "0 1"),
+    ])
+    def test_too_deep_a_recursion_is_one_error_line(self, capsys, argv):
+        code, out, err = self.run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_domain_error_exit_code(self, capsys):
         code, _, err = self.run(capsys, "euler", "1", "3")
         assert code == 2
@@ -381,6 +398,8 @@ class TestCommandLine:
         '{"terms": [{"coeff": null, "s": [2], "m": ["0/1"]}]}',
         '{"terms": [{"coeff": 1.7, "s": [2], "m": ["0/1"]}]}',
         '{"terms": [{"coeff": "%s", "s": [2], "m": ["0/1"]}]}' % ("9" * 400),
+        '{"terms": [{"coeff": "1_0", "s": [2], "m": ["0/1"]}]}',
+        pytest.param("[" * 1000, id="1000-nested-arrays"),
     ])
     def test_verify_rejects_misshapen_records(self, capsys, tmp_path, line):
         stream = tmp_path / "bad.jsonl"
@@ -412,7 +431,9 @@ class TestCommandLine:
         assert out == ""
         assert err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("group", ["root:3x", "root:", "root:1/3"])
+    @pytest.mark.parametrize("group", ["root:3x", "root:", "root:1/3",
+                                       "root:3_0", "root:+3", "root: 3",
+                                       "root:\u0663"])
     def test_malformed_root_group_is_an_unknown_group(self, capsys, group):
         code, out, err = self.run(capsys, "relations", "--weight", "4",
                                   "--group", group)
