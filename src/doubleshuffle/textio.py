@@ -65,7 +65,10 @@ class _Scanner:
             self.i += 1
         if self.i == digits:
             raise self.error(f"expected {what}", start)
-        return int(self.text[start:self.i])
+        try:
+            return int(self.text[start:self.i])
+        except ValueError:  # more digits than int() converts
+            raise self.error(f"too many digits in {what}", start) from None
 
     def read_fraction(self) -> GroupElement:
         start = self.i
@@ -204,14 +207,16 @@ def word_from_json(d: dict, where: str = "word") -> IndexedWord:
 
 
 def _fraction_from_str(text: str) -> GroupElement:
+    """A JSON mark ``"p/q"``, each side in the integer syntax of words."""
     if not isinstance(text, str):
         raise WordSyntaxError("malformed fraction: expected 'p/q'",
                               str(text), 0)
     num, _, den = text.partition("/")
-    if not den:
+    p, q = _decimal(num), _decimal(den)
+    if p is None or q is None:
         raise WordSyntaxError("malformed fraction: expected 'p/q'", text, 0)
     try:
-        return GroupElement(int(num), int(den))
+        return GroupElement(p, q)
     except ValueError as exc:
         raise WordSyntaxError(f"malformed fraction: {exc}", text, 0) from None
 
@@ -234,7 +239,8 @@ def lincomb_from_json(d: dict) -> LinComb:
 
 def _decimal(text: str) -> int | None:
     """The integer that an optional '-' and ASCII digits spell, else None:
-    the integer syntax of words, read here for ``root:N`` and coefficients."""
+    the integer syntax of words, read here for ``root:N``, coefficients and
+    JSON marks."""
     digits = text.removeprefix("-")
     try:
         return int(text) if digits.isascii() and digits.isdigit() else None

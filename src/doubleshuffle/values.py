@@ -13,13 +13,17 @@ Numeric evaluation uses plain truncation of the defining nested sums with an
 explicit tail estimate; see :func:`mpl_numeric`.  The words a relation needs
 are summed together over one trie of their shared suffixes, sweeping n in
 fixed chunks of ``CHUNK``, so memory is O(CHUNK * nodes) whatever the
-truncation N, and every value equals the one summed word by word over all N.
+truncation N.  Suffixes whose marks are all +-1 have real sums, and two of
+one length are carried as the halves of one complex row, so one ``cumsum``
+adds both.  Every value equals the one summed word by word over all N, bit
+for bit.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from itertools import product as iter_product
 from typing import Iterator
@@ -252,6 +256,10 @@ O(CHUNK) numbers per trie node whatever the truncation N."""
 _CACHE_SIZE = 4096
 # (word, n_terms, allow_conditional) -> NumericValue, least recently used first.
 _cache: dict[tuple[IndexedWord, int, bool], NumericValue] = {}
+# mpl_numeric calls answered by _cache, and words summed by _sweep to fill it
+_hits = 0
+_misses = 0
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 def mpl_numeric(word: IndexedWord, n_terms: int,
@@ -266,14 +274,18 @@ def mpl_numeric(word: IndexedWord, n_terms: int,
     ``allow_conditional`` is set, and then without a tail guarantee.  The
     empty word evaluates to 1 exactly.  Values are cached per
     ``(word, n_terms, allow_conditional)``; the 4096 most recently used are
-    kept.
+    kept.  ``mpl_numeric.cache_info()`` counts as hits the calls the cache
+    answers and as misses the words summed to fill it, here or in one
+    sweep for a whole relation.
     """
+    global _hits
     key = (word, n_terms, allow_conditional)
     val = _cache.pop(key, None)
     if val is None:
         val = _evaluate(word, n_terms, allow_conditional)
         _store(key, val)
     else:
+        _hits += 1
         _cache[key] = val
     return val
 
@@ -281,9 +293,11 @@ def mpl_numeric(word: IndexedWord, n_terms: int,
 def _evaluate(word: IndexedWord, n_terms: int,
               allow_conditional: bool) -> NumericValue:
     """:func:`mpl_numeric` without the value cache."""
+    global _misses
     error = _refusal(word, n_terms, allow_conditional)
     if error is not None:
         raise error
+    _misses += 1
     return NumericValue(_sweep([word], n_terms)[0], n_terms,
                         _tail_estimate(word, n_terms))
 
@@ -291,6 +305,8 @@ def _evaluate(word: IndexedWord, n_terms: int,
 # Only perfbench/selfcheck.py reads this: it swaps the uncached evaluation
 # in for mpl_numeric, under the name functools gives it on a cached function.
 mpl_numeric.__wrapped__ = _evaluate
+mpl_numeric.cache_info = lambda: _CacheInfo(_hits, _misses, _CACHE_SIZE,
+                                            len(_cache))
 
 
 def _store(key: tuple[IndexedWord, int, bool], val: NumericValue) -> None:
@@ -306,10 +322,12 @@ def _prefill(words, n_terms: int, allow_conditional: bool) -> None:
 
     Summing stops at the first word :func:`mpl_numeric` refuses: the
     uncached words before it are cached, as the calls before the refusing
-    one would cache them, and none after it are summed.  A cached word is stored again under the caller's word object, which makes
-    it the most recently used and lets the following lookup match by
-    identity instead of comparing the pairs.
+    one would cache them, and none after it are summed.  A cached word is
+    stored again under the caller's word object, which makes it the most
+    recently used and lets the following lookup match by identity instead
+    of comparing the pairs.
     """
+    global _misses
     missing: dict[IndexedWord, None] = {}
     for word in words:
         key = (word, n_terms, allow_conditional)
@@ -321,6 +339,7 @@ def _prefill(words, n_terms: int, allow_conditional: bool) -> None:
         else:
             missing[word] = None
     if missing:
+        _misses += len(missing)
         for word, value in zip(missing, _sweep(list(missing), n_terms)):
             _store((word, n_terms, allow_conditional),
                    NumericValue(value, n_terms, _tail_estimate(word, n_terms)))
@@ -357,14 +376,20 @@ def _sweep(words: list[IndexedWord], n_terms: int) -> list[complex]:
     ``word[i+1:]``, so words sharing a suffix share its partial sums.  A
     node's running sum A(n) grows by its base z^n / n^s times the inner
     node's A(n-1).  Each chunk of n builds every distinct base once and then
-    updates the nodes innermost first.  Slot 0 of a node's row carries A at
-    the chunk boundary, so one ``cumsum`` over the row adds the terms in
-    plain sequential order, and a chunked value equals the value summed over
-    all N at once.  Nodes whose marks are all +-1 are summed in float64.
+    updates the nodes innermost first, one suffix length at a time.  Slot 0
+    of a node's row carries A at the chunk boundary, so one ``cumsum`` over
+    the row adds the terms in plain sequential order, and a chunked value
+    equals the value summed over all N at once.  A node whose marks are all
+    +-1 is real: two real nodes of one suffix length share a complex row,
+    one in each half, and since a complex ``cumsum`` is two independent
+    real ones, each half holds the bits its own float64 row would.  Any
+    other node, and a real node left without a partner, has a row of its
+    own.
     """
     index: dict[tuple, int] = {}
     nodes: list[tuple[int, GroupElement, int]] = []  # (s, mark, inner or -1)
     real: list[bool] = []
+    levels: list[list[int]] = []  # nodes by suffix length - 1
     roots = []
     for word in words:
         inner = -1
@@ -375,39 +400,66 @@ def _sweep(words: list[IndexedWord], n_terms: int) -> list[complex]:
                 node = index[word[i:]] = len(nodes)
                 nodes.append((s, mark, inner))
                 real.append(mark.den <= 2 and (inner < 0 or real[inner]))
+                if len(levels) < word.depth - i:
+                    levels.append([])
+                levels[word.depth - i - 1].append(node)
             inner = node
         roots.append(inner)
     if not nodes:
         return [1.0 + 0j] * len(words)
     width = min(CHUNK, n_terms)
-    rows = [np.zeros(width + 1, np.float64 if r else np.complex128)
-            for r in real]
+    sums: list[np.ndarray] = [None] * len(nodes)  # a node's A(start + j)
+    rows: list[tuple[np.ndarray, list[int]]] = []  # (row, its nodes)
+    for level in levels:
+        reals = [v for v in level if real[v]]
+        for v in level:
+            if not real[v]:
+                rows.append((np.zeros(width + 1, np.complex128), [v]))
+        if len(reals) % 2:
+            rows.append((np.zeros(width + 1, np.float64), [reals.pop()]))
+        for a, b in zip(reals[::2], reals[1::2]):
+            rows.append((np.zeros(width + 1, np.complex128), [a, b]))
+    for row, members in rows:
+        if len(members) == 1:
+            sums[members[0]] = row
+        else:
+            sums[members[0]], sums[members[1]] = row.real, row.imag
+    # (-1)^n from n = start + 1 on: start is a multiple of width, which is
+    # even whenever there is more than one chunk
+    signs = np.ones(width)
+    signs[::2] = -1.0
     for start in range(0, n_terms, width):
         length = min(width, n_terms - start)
-        k = np.arange(start + 1, start + length + 1, dtype=np.int64)
-        n = k.astype(np.float64)
+        n = np.arange(start + 1, start + length + 1,
+                      dtype=np.int64).astype(np.float64)
         powers: dict[int, np.ndarray] = {}
         bases: dict[tuple[int, GroupElement], np.ndarray] = {}
-        for (s, mark, inner), row in zip(nodes, rows):
-            base = bases.get((s, mark))
-            if base is None:
-                if s not in powers:
-                    powers[s] = n ** s
-                if mark.den == 1:
-                    base = 1.0 / powers[s]
-                elif mark.den == 2:
-                    base = np.where(k % 2 == 0, 1.0, -1.0) / powers[s]
-                else:
-                    phase = _phases(mark, start + 1, length)
-                    base = np.exp(2j * np.pi * phase / mark.den) / powers[s]
-                bases[s, mark] = base
+        for row, members in rows:
             row[0] = row[width]
-            if inner < 0:
-                row[1:length + 1] = base
-            else:
-                np.multiply(base, rows[inner][:length], out=row[1:length + 1])
+            for node in members:
+                s, mark, inner = nodes[node]
+                base = bases.get((s, mark))
+                if base is None:
+                    if s not in powers:
+                        powers[s] = n ** s
+                    if mark.den > 2:
+                        phase = _phases(mark, start + 1, length)
+                        base = np.exp(2j * np.pi * phase / mark.den) / powers[s]
+                    else:
+                        # -1/x is -(1/x) exactly, so both signs share 1/n^s
+                        base = bases.get((s, ONE))
+                        if base is None:
+                            base = bases[s, ONE] = 1.0 / powers[s]
+                        if mark.den == 2:
+                            base = signs[:length] * base
+                    bases[s, mark] = base
+                out = sums[node][1:length + 1]
+                if inner < 0:
+                    out[:] = base
+                else:
+                    np.multiply(base, sums[inner][:length], out=out)
             np.cumsum(row[:length + 1], out=row[:length + 1])
-    return [1.0 + 0j if r < 0 else complex(rows[r][length]) for r in roots]
+    return [1.0 + 0j if r < 0 else complex(sums[r][length]) for r in roots]
 
 
 def _phases(mark: GroupElement, first: int, length: int) -> np.ndarray:

@@ -98,6 +98,9 @@ class TestIndexedGrammar:
             parse_indexed_word("(\u00b2)")  # a superscript two is no exponent
         assert err.value.pos == 1
         assert "expected an exponent" in str(err.value)
+        with pytest.raises(WordSyntaxError) as err:
+            parse_indexed_word("(" + "9" * 5000 + ")")  # past int()'s limit
+        assert err.value.pos == 1
 
 
 class TestShuffleGrammar:
@@ -399,6 +402,10 @@ class TestCommandLine:
         '{"terms": [{"coeff": 1.7, "s": [2], "m": ["0/1"]}]}',
         '{"terms": [{"coeff": "%s", "s": [2], "m": ["0/1"]}]}' % ("9" * 400),
         '{"terms": [{"coeff": "1_0", "s": [2], "m": ["0/1"]}]}',
+        '{"terms": [{"coeff": "1", "s": [2], "m": ["1_0/3"]}]}',
+        '{"terms": [{"coeff": "1", "s": [2], "m": ["+1/3"]}]}',
+        '{"terms": [{"coeff": "1", "s": [2], "m": [" 1/3"]}]}',
+        '{"terms": [{"coeff": "1", "s": [2], "m": ["\u0663/4"]}]}',
         pytest.param("[" * 1000, id="1000-nested-arrays"),
     ])
     def test_verify_rejects_misshapen_records(self, capsys, tmp_path, line):

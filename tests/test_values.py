@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from doubleshuffle import (MINUS_ONE, ONE, DomainError, GroupElement,
@@ -206,6 +207,17 @@ def oracle_values():
             for i, n in enumerate(ORACLE_N)}
 
 
+# Words whose marks are all +-1 give real nodes: an odd number of length 1,
+# and some of lengths 2 and 3.
+PAIRED_WORDS = [zw(2), zw(3, 1), mw((2,), (MINUS_ONE,)),
+                mw((2, 1), (MINUS_ONE, ONE)), zw(2, 1, 1),
+                mw((3, 2, 1), (ONE, MINUS_ONE, ONE))]
+# Marks of order 3 over real inner nodes, and a sign over a root:3 node.
+ROOT_OVER_PAIRED = [mw((2, 1), (GroupElement(1, 3), ONE)),
+                    mw((2, 2, 1), (GroupElement(2, 3), MINUS_ONE, ONE)),
+                    mw((2, 1), (MINUS_ONE, GroupElement(1, 3)))]
+
+
 class TestSweep:
     """The chunked suffix-trie sweep against the per-word loop, exactly."""
 
@@ -233,6 +245,29 @@ class TestSweep:
         assert len(sweeps) == 1, "a cached value was summed again"
         values._prefill(words, n_terms, True)
         assert len(sweeps) == 1
+
+    @pytest.mark.parametrize("n_terms", (CHUNK - 1, CHUNK + 1, 3 * CHUNK + 5))
+    @pytest.mark.parametrize("words", [PAIRED_WORDS, PAIRED_WORDS + ROOT_OVER_PAIRED],
+                             ids=["real", "root-3-over-real"])
+    def test_paired_real_nodes_match_per_word_loop(self, words, n_terms):
+        real = {w[i:] for w in words for i in range(w.depth)
+                if all(m.den <= 2 for m in w.marks[i:])}
+        per_length = [sum(len(u) == d for u in real) for d in (1, 2, 3)]
+        assert per_length[0] % 2 and all(per_length), per_length
+        got = values._sweep(words, n_terms)
+        assert got == [loop_mpl(w, n_terms) for w in words]
+        assert all(v.imag == 0.0 for w, v in zip(words, got)
+                   if all(m.den <= 2 for m in w.marks))
+
+    @pytest.mark.parametrize("k", (1, 2, 5))
+    def test_real_nodes_of_one_length_share_rows(self, k, monkeypatch):
+        words = [mw((s,), (mark,)) for s in (2, 3, 4) for mark in (ONE, MINUS_ONE)]
+        calls = []
+        cumsum = np.cumsum
+        monkeypatch.setattr(np, "cumsum",
+                            lambda *a, **kw: calls.append(1) or cumsum(*a, **kw))
+        values._sweep(words[:k], 2 * CHUNK + 1)  # three chunks
+        assert len(calls) == 3 * -(-k // 2)
 
     def test_cache_keeps_the_most_recently_used(self, monkeypatch):
         monkeypatch.setattr(values, "_cache", {})
@@ -320,6 +355,25 @@ class TestVerification:
                             lambda w, n, a: seen.append(w) or real(w, n, a))
         verify_relation_numeric(rel, 1000, 1e-3)
         assert seen == [w for w, _ in rel.combination.items()] + list(rel.factors)
+
+    def test_cache_info_counts_summed_words_then_hits(self, monkeypatch):
+        monkeypatch.setattr(values, "_cache", {})
+        rel = euler_relation(2, 3)
+        calls = len(rel.combination) + len(rel.factors)
+        start = mpl_numeric.cache_info()
+        mpl_numeric(zw(2), 1000)  # one factor, summed now
+        mpl_numeric(zw(2), 1000)
+        cached = mpl_numeric.cache_info()
+        assert (cached.hits - start.hits, cached.misses - start.misses) == (1, 1)
+        verify_relation_numeric(rel, 1000, 1e-3)
+        first = mpl_numeric.cache_info()
+        assert first.misses - cached.misses == len(rel.combination) + 1
+        assert first.hits - cached.hits == calls
+        assert (first.maxsize, first.currsize) == (values._CACHE_SIZE, calls)
+        verify_relation_numeric(rel, 1000, 1e-3)
+        second = mpl_numeric.cache_info()
+        assert second.misses == first.misses
+        assert second.hits - first.hits == calls
 
     def test_inevaluable_word_raises(self):
         bad = Relation("double-shuffle", (), LinComb.single(zw(1, 2)))
