@@ -9,6 +9,7 @@ multiple zeta values, alternating sums and polylogarithms at roots of unity,
 and verifies them numerically by truncated nested sums.
 """
 
+from . import values
 from .core import (MINUS_ONE, ONE, DomainError, GroupElement, IndexedWord,
                    Letter, LinComb, ShuffleWord, bilinear, binomial,
                    group_elements)
@@ -21,8 +22,12 @@ from .maps import (eta, eta_inv, product_b, product_e, rho, rho_inv, theta,
                    theta_inv)
 from .recursive import op_P, op_Q, quasi_shuffle, shuffle
 from .values import (Relation, double_shuffle_relations, euler_relation,
-                     hoffman_difference, lambda_numeric, mpl_numeric,
-                     verify_relation_numeric, worked_examples)
+                     hoffman_difference, worked_examples)
+
+# Served by __getattr__, which loads numpy first, so that importing the
+# package for the exact algebra does not.
+_NUMERIC = frozenset({"lambda_numeric", "mpl_numeric",
+                      "verify_relation_numeric"})
 
 __all__ = [
     "DomainError", "GroupElement", "IndexedWord", "Letter", "LinComb",
@@ -39,3 +44,17 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """The numeric functions of :mod:`.values`, with numpy loaded, so that
+    ``from doubleshuffle import mpl_numeric`` pays for numpy at the import
+    and not inside the first sum."""
+    if name in _NUMERIC:
+        values._numpy()
+        return getattr(values, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _NUMERIC)

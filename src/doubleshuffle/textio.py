@@ -16,6 +16,7 @@ round trip.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 
 from .core import GroupElement, IndexedWord, Letter, LinComb, ShuffleWord
 from .values import PRODUCT_KINDS, ZERO_SUM_KINDS, Relation
@@ -211,6 +212,13 @@ def _fraction_from_str(text: str) -> GroupElement:
     if not isinstance(text, str):
         raise WordSyntaxError("malformed fraction: expected 'p/q'",
                               str(text), 0)
+    return _mark(text)
+
+
+@lru_cache(maxsize=1024)
+def _mark(text: str) -> GroupElement:
+    """:func:`_fraction_from_str` of a string, memoised by it: a stream
+    repeats a handful of marks, and a refused one is not remembered."""
     num, _, den = text.partition("/")
     p, q = _decimal(num), _decimal(den)
     if p is None or q is None:

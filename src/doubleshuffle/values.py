@@ -17,6 +17,11 @@ truncation N.  Suffixes whose marks are all +-1 have real sums, and two of
 one length are carried as the halves of one complex row, so one ``cumsum``
 adds both.  Every value equals the one summed word by word over all N, bit
 for bit.
+
+Only these sums need numpy, which :func:`_numpy` imports on the first one,
+so the exact-algebra commands start without it.  The package hands out the
+numeric functions after loading numpy, so ``from doubleshuffle import
+mpl_numeric`` pays for numpy at the import and not inside the first sum.
 """
 
 from __future__ import annotations
@@ -27,8 +32,6 @@ from collections import namedtuple
 from dataclasses import dataclass, replace
 from itertools import product as iter_product
 from typing import Iterator
-
-import numpy as np
 
 from .core import (MINUS_ONE, ONE, DomainError, GroupElement, IndexedWord,
                    LinComb, binomial, group_elements)
@@ -369,6 +372,12 @@ def _tail_estimate(word: IndexedWord, n_terms: int) -> float:
             * n_terms ** (1 - s1) / (s1 - 1))
 
 
+def _numpy():
+    """numpy, imported on first use: only nested sums need it."""
+    import numpy
+    return numpy
+
+
 def _sweep(words: list[IndexedWord], n_terms: int) -> list[complex]:
     """The truncated nested sums of ``words`` in one pass over n = 1..N.
 
@@ -407,6 +416,7 @@ def _sweep(words: list[IndexedWord], n_terms: int) -> list[complex]:
         roots.append(inner)
     if not nodes:
         return [1.0 + 0j] * len(words)
+    np = _numpy()
     width = min(CHUNK, n_terms)
     sums: list[np.ndarray] = [None] * len(nodes)  # a node's A(start + j)
     rows: list[tuple[np.ndarray, list[int]]] = []  # (row, its nodes)
@@ -469,6 +479,7 @@ def _phases(mark: GroupElement, first: int, length: int) -> np.ndarray:
     it, which stays below den * length, so int64 serves whenever that
     product fits and Python integers otherwise.
     """
+    np = _numpy()
     num, den = mark.num, mark.den
     p0 = num * first % den
     if den * length < 2 ** 63:

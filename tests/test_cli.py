@@ -45,6 +45,16 @@ def writer_line(writer: RelationWriter, rel: Relation, fmt: str,
     return writer.text(rel)
 
 
+def fresh_python(*args: str, stdin: str = "") -> subprocess.CompletedProcess:
+    """Run a new interpreter that imports this package's sources."""
+    src = os.path.dirname(os.path.dirname(doubleshuffle.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], input=stdin,
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 def mismatch(got: str, want: str):
     """None when equal, else the first differing column with some context:
     pytest's own diff of two long lines can take minutes."""
@@ -407,6 +417,8 @@ class TestCommandLine:
         '{"terms": [{"coeff": "1", "s": [2], "m": [" 1/3"]}]}',
         '{"terms": [{"coeff": "1", "s": [2], "m": ["\u0663/4"]}]}',
         pytest.param("[" * 1000, id="1000-nested-arrays"),
+        pytest.param('{"terms": [{"coeff": "1", "s": [2], "m": [[1, 2]]}]}',
+                     id="list-mark"),
     ])
     def test_verify_rejects_misshapen_records(self, capsys, tmp_path, line):
         stream = tmp_path / "bad.jsonl"
@@ -415,6 +427,19 @@ class TestCommandLine:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mark", ['"1_0/3"', '"1/0"'])
+    def test_a_refused_mark_is_refused_again(self, capsys, tmp_path, mark):
+        """Marks are memoised by their string, and a refusal is not kept."""
+        stream = tmp_path / "bad.jsonl"
+        stream.write_text('{"terms": [{"coeff": "1", "s": [2], "m": [%s]}]}\n'
+                          % mark)
+        first = self.run(capsys, "verify", "--input", str(stream))
+        second = self.run(capsys, "verify", "--input", str(stream))
+        assert first == second
+        assert first[0] == 2
+        assert first[2].startswith("error: column 0: malformed fraction")
+        assert first[2].count("\n") == 1
 
     @pytest.mark.parametrize("line, message", [
         ('{"terms": [{"s": [2], "m": ["0/1"]}]}', "term is missing key 'coeff'"),
@@ -531,13 +556,7 @@ class TestCommandLine:
         assert out_lines[-1].endswith(f", {len(skipped)} skipped")
 
     def test_module_entry_point(self, capsys):
-        src = os.path.dirname(os.path.dirname(doubleshuffle.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-m", "doubleshuffle",
-                               "euler", "2", "3"], capture_output=True,
-                              text=True, env=env, timeout=60)
+        proc = fresh_python("-m", "doubleshuffle", "euler", "2", "3")
         _, out, _ = self.run(capsys, "euler", "2", "3")
         assert proc.returncode == 0
         assert proc.stdout == out
@@ -596,3 +615,74 @@ class TestCommandLine:
         for line in out.strip().splitlines():
             rel = relation_from_json(json.loads(line))
             assert rel.combination
+
+
+# Runs the CLI in a new interpreter in which ``import numpy`` fails.
+NO_NUMPY_MAIN = ('import sys; sys.modules["numpy"] = None; '
+                 'from doubleshuffle.cli import main; sys.exit(main(sys.argv[1:]))')
+NUMERIC_NAMES = ["lambda_numeric", "mpl_numeric", "verify_relation_numeric"]
+
+
+class TestStartWithoutNumpy:
+    """Only nested sums need numpy; the exact algebra starts without it."""
+
+    def test_importing_the_package_and_cli_leaves_numpy_out(self):
+        proc = fresh_python("-c", "import sys, doubleshuffle, doubleshuffle.cli; "
+                                  "print('numpy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["relations", "--weight", "5", "--depth", "3", "--group", "root:3",
+         "--hoffman", "--format", "json"],
+        ["explicit", "(2,1|1/3,0/1)", "(1,2|2/3,1/3)", "--format", "json"],
+        ["stuffle", "(2,1|1/3,0/1)", "(1,2|2/3,1/3)"],
+        ["shuffle", "0 [1/3] 1", "[2/3] 0 [1/3]", "--as-indexed"],
+        ["perm-form", "(2,1|1/3,0/1)", "(1,2|2/3,1/3)"],
+        ["euler", "3", "4"],
+    ], ids=lambda argv: argv[0])
+    def test_symbolic_commands_run_with_numpy_blocked(self, capsys, argv):
+        proc = fresh_python("-c", NO_NUMPY_MAIN, *argv)
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert proc.returncode == code == 0, proc.stderr
+        assert proc.stderr == ""
+        assert out and proc.stdout == out
+
+    def test_verify_needs_numpy(self):
+        """The block above is real: the one command that sums fails under it."""
+        line = '{"terms": [{"coeff": "1", "s": [2], "m": ["0/1"]}]}\n'
+        proc = fresh_python("-c", NO_NUMPY_MAIN, "verify", "--terms", "10",
+                            stdin=line)
+        assert proc.returncode != 0
+        assert "numpy" in proc.stderr
+
+    @pytest.mark.parametrize("name", NUMERIC_NAMES)
+    def test_a_numeric_name_loads_numpy_and_is_the_values_function(self, name):
+        proc = fresh_python("-c", "\n".join([
+            "import sys",
+            "from doubleshuffle import values",
+            "assert 'numpy' not in sys.modules",
+            f"from doubleshuffle import {name}",
+            "assert 'numpy' in sys.modules",
+            f"assert {name} is values.{name}",
+        ]))
+        assert proc.returncode == 0, proc.stderr
+
+    def test_star_import_dir_and_unknown_names(self):
+        proc = fresh_python("-c", "\n".join([
+            "import sys, doubleshuffle",
+            "assert set(doubleshuffle.__all__) <= set(dir(doubleshuffle))",
+            "try:",
+            "    doubleshuffle.no_such_name",
+            "except AttributeError as exc:",
+            "    assert 'no_such_name' in str(exc)",
+            "else:",
+            "    raise AssertionError('no AttributeError')",
+            "assert 'numpy' not in sys.modules",
+            "from doubleshuffle import *",
+            "missing = [n for n in doubleshuffle.__all__ if n not in globals()]",
+            "assert not missing, missing",
+        ]))
+        assert proc.returncode == 0, proc.stderr
+        assert set(NUMERIC_NAMES) <= set(doubleshuffle.__all__)
