@@ -11,8 +11,7 @@ and verifies them numerically by truncated nested sums.
 
 from . import values
 from .core import (MINUS_ONE, ONE, DomainError, GroupElement, IndexedWord,
-                   Letter, LinComb, ShuffleWord, bilinear, binomial,
-                   group_elements)
+                   LinComb, ShuffleWord, bilinear, binomial, group_elements)
 from .explicit import (coeff, coeff_factor, coeff_nonzero, enum_compositions,
                        enum_index_pairs, enum_shuffle_perms, epsilon,
                        explicit_product_b, explicit_product_e, h_value,
@@ -30,7 +29,7 @@ _NUMERIC = frozenset({"lambda_numeric", "mpl_numeric",
                       "verify_relation_numeric"})
 
 __all__ = [
-    "DomainError", "GroupElement", "IndexedWord", "Letter", "LinComb",
+    "DomainError", "GroupElement", "IndexedWord", "LinComb",
     "MINUS_ONE", "ONE", "Relation", "ShuffleWord", "bilinear", "binomial",
     "coeff", "coeff_factor", "coeff_nonzero", "double_shuffle_relations",
     "enum_compositions", "enum_index_pairs", "enum_shuffle_perms", "epsilon",

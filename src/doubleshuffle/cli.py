@@ -1,7 +1,8 @@
 """Command line surface.
 
 Exit status: 0 on success, 1 when ``verify`` finds a failing relation,
-2 on malformed input (word syntax, JSON, argument domain, or nesting too deep).
+2 on malformed input (word syntax, JSON, argument domain, or nesting too deep)
+or when ``verify`` cannot load numpy.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from .core import DomainError, LinComb
 from .explicit import explicit_product_b, explicit_product_e, perm_product_b
 from .maps import rho
 from .recursive import quasi_shuffle, shuffle
-from .textio import (RelationWriter, WordSyntaxError, _decimal, format_lincomb,
-                     lincomb_to_json, lincomb_to_latex, parse_indexed_word,
-                     parse_shuffle_word, relation_from_json)
+from .textio import (RelationWriter, _decimal, format_lincomb, lincomb_to_json,
+                     lincomb_to_latex, parse_indexed_word, parse_shuffle_word,
+                     relation_from_json)
 from .values import euler_relation, relation_stream, verify_relation_numeric
 
 
@@ -212,8 +213,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.order = _group_order(args.group)
         return args.func(args)
-    except (WordSyntaxError, DomainError, ValueError, json.JSONDecodeError,
-            RecursionError) as exc:
+    except (ValueError, RecursionError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -119,52 +119,17 @@ def group_elements(order: int) -> list[GroupElement]:
     return [GroupElement(j, order) for j in range(order)]
 
 
-class Letter:
-    """One letter of a shuffle word: either the plain letter or a marked one.
-
-    ``mark is None`` encodes the unmarked letter (written ``0``); otherwise
-    the letter carries a group element.  Letters are interned in a weak
-    table like the marks, so equality and hashing are identity, done in C.
-    """
-
-    __slots__ = ("mark", "__weakref__")
-
-    _interned: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
-    _creating = threading.Lock()
-
-    def __new__(cls, mark: GroupElement | None) -> "Letter":
-        with cls._creating:  # letters are made per input word, not per term
-            self = cls._interned.get(mark)
-            if self is None:
-                self = object.__new__(cls)
-                self.mark = mark
-                cls._interned[mark] = self
-        return self
-
-    def __reduce__(self):
-        """Pickle and copy through the constructor, like the marks."""
-        return Letter, (self.mark,)
-
-    def __repr__(self) -> str:
-        return f"Letter({self.mark!r})"
-
-    def __str__(self) -> str:
-        if self.mark is None:
-            return "0"
-        if self.mark.is_identity:
-            return "1"
-        return f"[{self.mark}]"
-
-
-ZERO_LETTER = Letter(None)  # held here, so its table entry never goes
-
-
 class ShuffleWord:
-    """A finite sequence of letters; the empty word is the algebra unit."""
+    """A finite sequence of letters; the empty word is the algebra unit.
+
+    A letter is its mark: ``None`` for the unmarked letter (written ``0``),
+    else the interned ``GroupElement``, so letters hash and compare by
+    identity, in C.
+    """
 
     __slots__ = ("letters",)
 
-    def __init__(self, letters: Iterable[Letter] = ()) -> None:
+    def __init__(self, letters: Iterable[GroupElement | None] = ()) -> None:
         self.letters = tuple(letters)
 
     def __reduce__(self):
@@ -177,7 +142,7 @@ class ShuffleWord:
     @property
     def encodes_index_word(self) -> bool:
         """Empty, or ends in a marked letter (domain of the block encoding)."""
-        return not self.letters or self.letters[-1].mark is not None
+        return not self.letters or self.letters[-1] is not None
 
     @property
     def is_convergent(self) -> bool:
@@ -185,8 +150,8 @@ class ShuffleWord:
         if not self.letters:
             return True
         first = self.letters[0]
-        leading_ok = first.mark is None or not first.mark.is_identity
-        return leading_ok and self.letters[-1].mark is not None
+        leading_ok = first is None or not first.is_identity
+        return leading_ok and self.letters[-1] is not None
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ShuffleWord) and self.letters == other.letters
@@ -198,14 +163,14 @@ class ShuffleWord:
         return f"ShuffleWord({str(self)!r})"
 
     def __str__(self) -> str:
-        return " ".join(str(a) for a in self.letters)
+        return " ".join("0" if b is None else "1" if b.is_identity
+                        else f"[{b}]" for b in self.letters)
 
     def sort_key(self):
         """Shaped like ``IndexedWord.sort_key``: per letter ``0`` when it is
         unmarked, else ``1``, the mark's angle as a float and the mark."""
         key = []
-        for a in self.letters:
-            b = a.mark
+        for b in self.letters:
             key += (0,) if b is None else (1, b.num / b.den, b)
         return tuple(key)
 

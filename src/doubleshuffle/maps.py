@@ -14,8 +14,8 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import sub
 
-from .core import (ZERO_LETTER, DomainError, GroupElement, IndexedWord, Letter,
-                   LinComb, ShuffleWord, _unchecked_word)
+from .core import (DomainError, GroupElement, IndexedWord, LinComb,
+                   ShuffleWord, _unchecked_word)
 from .recursive import _MEMO_SIZE, _shuffle_letters
 
 
@@ -23,8 +23,8 @@ def _encode(letters: tuple, rewrite=tuple) -> IndexedWord:
     """Block encoding of a letter tuple that is empty or ends in a marked
     letter, marks passed through ``rewrite``; injective, as each exponent is
     the gap between the positions of two consecutive marked letters."""
-    ends = [i for i, a in enumerate(letters, 1) if a.mark is not None]
-    marks = tuple([letters[i - 1].mark for i in ends])
+    ends = [i for i, b in enumerate(letters, 1) if b is not None]
+    marks = tuple([letters[i - 1] for i in ends])
     return _unchecked_word(zip(map(sub, ends, [0, *ends]), rewrite(marks)))
 
 
@@ -38,10 +38,10 @@ def rho(u: ShuffleWord) -> IndexedWord:
 
 def rho_inv(word: IndexedWord) -> ShuffleWord:
     """Inverse block encoding."""
-    letters: list[Letter] = []
+    letters: list[GroupElement | None] = []
     for s, b in word:
-        letters += (ZERO_LETTER,) * (s - 1)
-        letters.append(Letter(b))
+        letters += (None,) * (s - 1)
+        letters.append(b)
     return ShuffleWord(letters)
 
 

@@ -22,16 +22,18 @@ _MEMO_SIZE = 2 ** 15
 
 def _quasi_shuffle(bracket):
     """a.u * b.v = a.(u * b.v) + b.(a.u * v) + [a,b].(u * v) on letter tuples, as
-    memo-owned ``{letters: coefficient}`` dicts; ``bracket`` gives None for 0."""
+    memo-owned ``{letters: coefficient}`` dicts; ``bracket=None`` is the zero
+    bracket (None is also a letter, the unmarked one)."""
     @lru_cache(maxsize=_MEMO_SIZE)
     def product(u: tuple, v: tuple) -> dict:
         if not u or not v:
             return {u + v: 1}
         a, b = u[0], v[0]
         out = {(a,) + w: c for w, c in product(u[1:], v).items()}
-        for head, left, right in ((b, u, v[1:]), (bracket(a, b), u[1:], v[1:])):
-            if head is None:
-                continue
+        rests = ((b, u, v[1:]),)
+        if bracket is not None:
+            rests += ((bracket(a, b), u[1:], v[1:]),)
+        for head, left, right in rests:
             for w, c in product(left, right).items():
                 w = (head,) + w
                 out[w] = out.get(w, 0) + c
@@ -39,7 +41,7 @@ def _quasi_shuffle(bracket):
     return product
 
 
-_shuffle_letters = _quasi_shuffle(lambda a, b: None)
+_shuffle_letters = _quasi_shuffle(None)
 _stuffle_pairs = _quasi_shuffle(lambda a, b: (a[0] + b[0], a[1] * b[1]))
 
 

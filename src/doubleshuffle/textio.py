@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 
-from .core import GroupElement, IndexedWord, Letter, LinComb, ShuffleWord
+from .core import ONE, GroupElement, IndexedWord, LinComb, ShuffleWord
 from .values import PRODUCT_KINDS, ZERO_SUM_KINDS, Relation
 
 
@@ -130,22 +130,22 @@ def parse_indexed_word(text: str) -> IndexedWord:
 def parse_shuffle_word(text: str) -> ShuffleWord:
     """Parse a string of letter tokens; the empty string is the empty word."""
     sc = _Scanner(text)
-    letters: list[Letter] = []
+    letters: list[GroupElement | None] = []
     while not sc.at_end():
         ch = sc.peek()
         if ch == "0":
             sc.take()
-            letters.append(Letter(None))
+            letters.append(None)
         elif ch == "1":
             sc.take()
-            letters.append(Letter(GroupElement(0, 1)))
+            letters.append(ONE)
         elif ch == "[":
             sc.take()
             mark = sc.read_fraction()
             if sc.peek() != "]":
                 raise sc.error("unbalanced delimiters: expected ']'")
             sc.take()
-            letters.append(Letter(mark))
+            letters.append(mark)
         else:
             raise sc.error(f"unexpected character {ch!r}")
     return ShuffleWord(letters)

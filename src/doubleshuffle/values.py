@@ -438,37 +438,39 @@ def _sweep(words: list[IndexedWord], n_terms: int) -> list[complex]:
     # even whenever there is more than one chunk
     signs = np.ones(width)
     signs[::2] = -1.0
-    for start in range(0, n_terms, width):
-        length = min(width, n_terms - start)
-        n = np.arange(start + 1, start + length + 1,
-                      dtype=np.int64).astype(np.float64)
-        powers: dict[int, np.ndarray] = {}
-        bases: dict[tuple[int, GroupElement], np.ndarray] = {}
-        for row, members in rows:
-            row[0] = row[width]
-            for node in members:
-                s, mark, inner = nodes[node]
-                base = bases.get((s, mark))
-                if base is None:
-                    if s not in powers:
-                        powers[s] = n ** s
-                    if mark.den > 2:
-                        phase = _phases(mark, start + 1, length)
-                        base = np.exp(2j * np.pi * phase / mark.den) / powers[s]
+    # n ** s overflows to inf past about 1e308, and 1 / inf is the right 0.0
+    with np.errstate(over="ignore"):
+        for start in range(0, n_terms, width):
+            length = min(width, n_terms - start)
+            n = np.arange(start + 1, start + length + 1,
+                          dtype=np.int64).astype(np.float64)
+            powers: dict[int, np.ndarray] = {}
+            bases: dict[tuple[int, GroupElement], np.ndarray] = {}
+            for row, members in rows:
+                row[0] = row[width]
+                for node in members:
+                    s, mark, inner = nodes[node]
+                    base = bases.get((s, mark))
+                    if base is None:
+                        if s not in powers:
+                            powers[s] = n ** s
+                        if mark.den > 2:
+                            phase = _phases(mark, start + 1, length)
+                            base = np.exp(2j * np.pi * phase / mark.den) / powers[s]
+                        else:
+                            # -1/x is -(1/x) exactly, so both signs share 1/n^s
+                            base = bases.get((s, ONE))
+                            if base is None:
+                                base = bases[s, ONE] = 1.0 / powers[s]
+                            if mark.den == 2:
+                                base = signs[:length] * base
+                        bases[s, mark] = base
+                    out = sums[node][1:length + 1]
+                    if inner < 0:
+                        out[:] = base
                     else:
-                        # -1/x is -(1/x) exactly, so both signs share 1/n^s
-                        base = bases.get((s, ONE))
-                        if base is None:
-                            base = bases[s, ONE] = 1.0 / powers[s]
-                        if mark.den == 2:
-                            base = signs[:length] * base
-                    bases[s, mark] = base
-                out = sums[node][1:length + 1]
-                if inner < 0:
-                    out[:] = base
-                else:
-                    np.multiply(base, sums[inner][:length], out=out)
-            np.cumsum(row[:length + 1], out=row[:length + 1])
+                        np.multiply(base, sums[inner][:length], out=out)
+                np.cumsum(row[:length + 1], out=row[:length + 1])
     return [1.0 + 0j if r < 0 else complex(sums[r][length]) for r in roots]
 
 

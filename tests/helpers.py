@@ -3,8 +3,7 @@
 from fractions import Fraction
 from itertools import product as iter_product
 
-from doubleshuffle import (GroupElement, IndexedWord, Letter, ShuffleWord,
-                           group_elements)
+from doubleshuffle import IndexedWord, ShuffleWord, group_elements
 from doubleshuffle.values import indexed_words
 
 
@@ -22,16 +21,15 @@ def fraction_key(word):
     index word by exponents, then by angles; a letter word letter by
     letter, the unmarked letter first.  Angles are exact ``Fraction``s."""
     if isinstance(word, ShuffleWord):
-        return tuple((0,) if a.mark is None
-                     else (1, Fraction(a.mark.num, a.mark.den))
-                     for a in word.letters)
+        return tuple((0,) if b is None else (1, Fraction(b.num, b.den))
+                     for b in word.letters)
     return (word.exponents,
             tuple(Fraction(b.num, b.den) for b in word.marks))
 
 
 def letter_alphabet(order):
     """The unmarked letter plus one marked letter per group element."""
-    return [Letter(None)] + [Letter(b) for b in group_elements(order)]
+    return [None, *group_elements(order)]
 
 
 def all_shuffle_words(max_len, order=1):

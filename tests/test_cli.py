@@ -10,8 +10,8 @@ import sys
 import pytest
 
 import doubleshuffle
-from doubleshuffle import (MINUS_ONE, ONE, GroupElement, IndexedWord, Letter,
-                           LinComb, ShuffleWord, quasi_shuffle)
+from doubleshuffle import (MINUS_ONE, ONE, GroupElement, IndexedWord, LinComb,
+                           ShuffleWord)
 from doubleshuffle import cli, values
 from doubleshuffle.cli import main
 from doubleshuffle.textio import (RelationWriter, WordSyntaxError,
@@ -116,7 +116,7 @@ class TestIndexedGrammar:
 class TestShuffleGrammar:
     def test_tokens(self):
         got = parse_shuffle_word("0 [1/2] 1")
-        assert got == ShuffleWord((Letter(None), Letter(MINUS_ONE), Letter(ONE)))
+        assert got == ShuffleWord((None, MINUS_ONE, ONE))
 
     def test_dense_tokens(self):
         assert parse_shuffle_word("0101") == parse_shuffle_word("0 1 0 1")
@@ -555,6 +555,19 @@ class TestCommandLine:
         assert sum(x.startswith("skip ") for x in out_lines) == len(skipped)
         assert out_lines[-1].endswith(f", {len(skipped)} skipped")
 
+    def test_verify_sums_large_exponents_quietly(self):
+        """n ** 62 overflows to inf past n = 93,700, within the default
+        truncation, and 1 / inf is the right 0.0: nothing reaches stderr,
+        and zeta(62) still reads as 1.0."""
+        line = '{"terms": [{"coeff": "1", "s": [62], "m": ["0/1"]}]}\n'
+        proc = fresh_python("-m", "doubleshuffle", "verify", "--format",
+                            "json", stdin=line)
+        assert proc.stderr == ""
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout) == {
+            "label": "double-shuffle[]", "passed": False, "residual": 1.0,
+            "bound": 0.001}
+
     def test_module_entry_point(self, capsys):
         proc = fresh_python("-m", "doubleshuffle", "euler", "2", "3")
         _, out, _ = self.run(capsys, "euler", "2", "3")
@@ -650,12 +663,16 @@ class TestStartWithoutNumpy:
         assert out and proc.stdout == out
 
     def test_verify_needs_numpy(self):
-        """The block above is real: the one command that sums fails under it."""
+        """The block above is real: the one command that sums fails under it,
+        with one ``error:`` line and exit 2, not 1 ("a relation failed")."""
         line = '{"terms": [{"coeff": "1", "s": [2], "m": ["0/1"]}]}\n'
         proc = fresh_python("-c", NO_NUMPY_MAIN, "verify", "--terms", "10",
                             stdin=line)
-        assert proc.returncode != 0
-        assert "numpy" in proc.stderr
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ") and "numpy" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("name", NUMERIC_NAMES)
     def test_a_numeric_name_loads_numpy_and_is_the_values_function(self, name):

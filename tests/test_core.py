@@ -12,8 +12,8 @@ from itertools import product as iter_product
 import pytest
 from hypothesis import given, strategies as st
 
-from doubleshuffle import (MINUS_ONE, ONE, GroupElement, IndexedWord, Letter,
-                           LinComb, ShuffleWord, bilinear, binomial,
+from doubleshuffle import (MINUS_ONE, ONE, GroupElement, IndexedWord, LinComb,
+                           ShuffleWord, bilinear, binomial,
                            explicit_product_b, explicit_product_e,
                            group_elements, perm_product_b, quasi_shuffle)
 from doubleshuffle.core import _unchecked_word
@@ -124,8 +124,7 @@ class TestBinomial:
 
 class TestWords:
     def test_shuffle_word_predicates(self):
-        x0, x1 = Letter(None), Letter(ONE)
-        xm = Letter(MINUS_ONE)
+        x0, x1, xm = None, ONE, MINUS_ONE
         assert ShuffleWord().encodes_index_word
         assert ShuffleWord().is_convergent
         assert ShuffleWord((x0, x1)).encodes_index_word
@@ -189,21 +188,21 @@ class TestWords:
             assert all(a is b for (_, a), (_, b) in zip(clone, good))
 
     def test_letters_are_interned(self):
-        assert Letter(None) is Letter(None)
-        assert Letter(GroupElement(1, 3)) is Letter(GroupElement(2, 6))
-        assert Letter(ONE) is not Letter(None)
-        for letter in (Letter(None), Letter(ONE), Letter(GroupElement(2, 5))):
+        """A letter is its mark (None when unmarked), so it is interned with
+        the mark and keeps its identity through pickling and copying."""
+        assert GroupElement(1, 3) is GroupElement(2, 6)
+        for letter in (None, ONE, GroupElement(2, 5)):
             for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
                 assert pickle.loads(pickle.dumps(letter, protocol)) is letter
             assert copy.copy(letter) is letter and copy.deepcopy(letter) is letter
-        word = ShuffleWord((Letter(None), Letter(GroupElement(1, 3))))
+        word = ShuffleWord((None, GroupElement(1, 3)))
         clone = copy.deepcopy(word)
         assert clone == word and hash(clone) == hash(word)
         assert all(a is b for a, b in zip(clone.letters, word.letters))
 
     def test_letter_words_and_combinations_pickle_at_every_protocol(self):
         third = GroupElement(1, 3)
-        word = ShuffleWord((Letter(None), Letter(third), Letter(ONE)))
+        word = ShuffleWord((None, third, ONE))
         index_lc = explicit_product_e(IndexedWord(((2, third), (1, ONE))),
                                       IndexedWord(((1, MINUS_ONE),)))
         letter_lc = LinComb([(word, 3), (ShuffleWord(), -2)])
@@ -216,21 +215,17 @@ class TestWords:
                 assert type(clone) is LinComb and clone == lc
                 assert clone.items() == lc.items()
 
-    def test_letter_table_does_not_keep_marks(self):
-        key = (1, 10 ** 9 + 9)
-        letter = Letter(GroupElement(*key))
-        assert Letter._interned.get(letter.mark) is letter
-        del letter
-        gc.collect()
-        assert GroupElement._interned.get(key) is None
-
-    def test_threads_share_one_letter_per_mark(self):
-        marks = [GroupElement(j, d) for d in (1009, 1013, 1019, 1021, 1031)
-                 for j in range(1, d)]
+    def test_threads_share_one_mark_per_angle(self):
+        """Four threads intern the same new angles at once; each angle is
+        created under ``GroupElement._creating`` by one of them, and every
+        thread gets that one instance."""
+        dens = (1033, 1039, 1049, 1051, 1061)
+        assert not any(GroupElement._interned.get((j, d))
+                       for d in dens for j in range(1, d))
         made = [None] * 4
 
         def make(slot):
-            made[slot] = [Letter(m) for m in marks]
+            made[slot] = [GroupElement(j, d) for d in dens for j in range(1, d)]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -243,14 +238,8 @@ class TestWords:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert all(len(letters) == len(marks) for letters in made)
-        assert all(a is b for letters in made[1:] for a, b in zip(made[0], letters))
-
-    def test_letter_compares_by_identity(self):
-        assert "__eq__" not in vars(Letter) and "__hash__" not in vars(Letter)
-        marked = Letter(GroupElement(1, 7))
-        assert hash(marked) == object.__hash__(marked)
-        assert {Letter(GroupElement(8, 7)): 1} == {marked: 1}
+        assert all(len(marks) == len(made[0]) > 5000 for marks in made)
+        assert all(a is b for marks in made[1:] for a, b in zip(made[0], marks))
 
 
 # Hypothesis strategies for small exact linear combinations.
@@ -318,7 +307,7 @@ class TestLinComb:
         x = LinComb((w, i + 1) for i, w in enumerate(words))
         by_fractions = lambda kv: fraction_key(kv[0])  # noqa: E731
         assert x.items() == sorted(x.iterterms(), key=by_fractions)
-        letters = [Letter(None)] + [Letter(b) for b in reversed(marks)]
+        letters = [None, *reversed(marks)]
         y = LinComb((ShuffleWord(p), 1) for p in iter_product(letters, repeat=2))
         assert y.items() == sorted(y.iterterms(), key=by_fractions)
 
@@ -339,7 +328,7 @@ class TestLinComb:
                               (3, 1), (1, 1, 1), (2, 1, 1), (1, 1, 2))
                  for ms in iter_product(marks, repeat=len(exps))]
         assert set(tied) <= set(words)
-        letters = [Letter(None)] + [Letter(b) for b in marks]
+        letters = [None, *marks]
         letter_words = [ShuffleWord(p) for n in range(4)
                         for p in iter_product(letters, repeat=n)]
         for ws in (words, letter_words):

@@ -3,14 +3,14 @@
 import pytest
 
 from doubleshuffle import (MINUS_ONE, ONE, DomainError, GroupElement,
-                           IndexedWord, Letter, LinComb, ShuffleWord,
+                           IndexedWord, LinComb, ShuffleWord,
                            binomial, eta, eta_inv, product_b, product_e, rho,
                            rho_inv, theta, theta_inv)
 
 from bruteforce import brute_shuffle
 from helpers import all_indexed_words, all_shuffle_words, zw
 
-X0, X1 = Letter(None), Letter(ONE)
+X0, X1 = None, ONE
 
 
 class TestRho:
@@ -23,7 +23,7 @@ class TestRho:
 
     def test_inverse_expansion(self):
         b = MINUS_ONE
-        assert rho_inv(IndexedWord(((3, b),))) == ShuffleWord((X0, X0, Letter(b)))
+        assert rho_inv(IndexedWord(((3, b),))) == ShuffleWord((X0, X0, b))
 
     def test_domain_violation(self):
         with pytest.raises(DomainError):
@@ -64,7 +64,7 @@ class TestTheta:
 class TestEta:
     def test_composition(self):
         b = GroupElement(1, 3)
-        assert eta(ShuffleWord((X0, Letter(b)))) == IndexedWord(((2, b.inverse()),))
+        assert eta(ShuffleWord((X0, b))) == IndexedWord(((2, b.inverse()),))
 
     def test_empty(self):
         assert eta(ShuffleWord()) == IndexedWord()
@@ -75,7 +75,7 @@ class TestEta:
         acc = ONE
         for z in w.marks:
             acc = acc * z
-        assert u.letters[-1] == Letter(acc.inverse())
+        assert u.letters[-1] == acc.inverse()
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_diagram_commutes(self, order):

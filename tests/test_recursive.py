@@ -2,15 +2,15 @@
 
 import pytest
 
-from doubleshuffle import (MINUS_ONE, ONE, DomainError, IndexedWord, Letter,
-                           LinComb, ShuffleWord, bilinear, binomial, op_P,
-                           op_Q, quasi_shuffle, shuffle)
+from doubleshuffle import (MINUS_ONE, ONE, DomainError, IndexedWord, LinComb,
+                           ShuffleWord, bilinear, binomial, op_P, op_Q,
+                           quasi_shuffle, shuffle)
 from doubleshuffle.maps import product_b
 
 from bruteforce import brute_quasi_shuffle, brute_shuffle
 from helpers import all_indexed_words, all_shuffle_words, zw
 
-X0, X1 = Letter(None), Letter(ONE)
+X0, X1 = None, ONE
 
 
 def sword(*letters):
@@ -47,7 +47,7 @@ class TestShuffle:
         assert lc and all(type(w) is ShuffleWord for w in lc.words())
 
     def test_results_do_not_share_the_memo(self):
-        u, v = sword(X0, X1), sword(Letter(MINUS_ONE), X1)
+        u, v = sword(X0, X1), sword(MINUS_ONE, X1)
         first = shuffle(u, v)
         expected = brute_shuffle(u, v)
         assert first == expected
@@ -107,7 +107,7 @@ class TestQuasiShuffle:
 
     def test_products_keep_separate_memos(self):
         mu, nu = zw(3, 1), IndexedWord(((2, MINUS_ONE), (1, ONE)))
-        u, v = sword(X0, Letter(MINUS_ONE), X1), sword(X1, X0, X1)
+        u, v = sword(X0, MINUS_ONE, X1), sword(X1, X0, X1)
         for product, a, b, other in ((quasi_shuffle, mu, nu, shuffle),
                                      (shuffle, u, v, quasi_shuffle)):
             own, untouched = product.cache_info(), other.cache_info()

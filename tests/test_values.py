@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -292,6 +293,19 @@ class TestSweep:
         word = mw((2, 1, 3), (mark, GroupElement(1, 3), mark))
         n_terms = 2 * CHUNK + 3
         assert values._sweep([word], n_terms) == [loop_mpl(word, n_terms)]
+
+    def test_overflowing_powers_warn_nothing_and_sum_as_before(self):
+        """n ** s is inf past about 1e308 (from n = 7,100 at s = 80, from
+        n = 35 at s = 200); its reciprocal 0.0 is the right double, so the
+        sweep takes it quietly."""
+        words = [zw(80), mw((80,), (MINUS_ONE,)),
+                 mw((200, 80), (GroupElement(1, 3), ONE))]
+        n_terms = 2 * CHUNK + 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = values._sweep(words, n_terms)
+        with np.errstate(over="ignore"):
+            assert got == [loop_mpl(w, n_terms) for w in words]
 
     def test_large_denominator_memory_stays_small(self):
         word = mw((2,), (GroupElement(1, 10 ** 7),))
