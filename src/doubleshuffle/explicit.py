@@ -259,42 +259,21 @@ def _merged_marks(merge, a: tuple[GroupElement, ...],
                  for pair in enum_index_pairs(len(a), len(b)))
 
 
-def _closed_form_blocks(mu: IndexedWord, nu: IndexedWord, merge,
-                        perm_form: bool = False
-                        ) -> Iterator[tuple[tuple[GroupElement, ...],
-                                            tuple | list]]:
-    """One block ``(marks, walked)`` per index pair, in index-pair order:
-    the merged marks of the pair and its nonzero ``(t, c)`` terms.
+def _closed_form(mu: IndexedWord, nu: IndexedWord, merge, walks) -> LinComb:
+    """Sum c * (t; merged marks) over every index pair and its walked terms.
 
-    ``merge(pair, a, b)`` routes the mark vectors to the target positions.
-    Only the compositions :func:`_walk` visits are expanded.  With
-    ``perm_form`` each walked coefficient is recomputed by the permutation
-    formula, an independent formula for the same number.
-    """
-    r, s = mu.exponents, nu.exponents
-    blocks = zip(_merged_marks(merge, mu.marks, nu.marks), _shape_walks(r, s))
-    if not perm_form:
-        for marks, (_, walked) in blocks:
-            yield marks, walked
-        return
-    k, kappa = len(r), r + s
-    for marks, (pair, walked) in blocks:
-        sigma = sigma_of_pair(pair)
-        yield marks, [(t, _perm_coeff_fast(sigma, kappa, k, t))
-                      for t, _ in walked]
-
-
-def _closed_form_sum(blocks: Iterator[tuple]) -> LinComb:
-    """Sum the blocks in exponent space, then build each word once.
-
-    Two terms share a word exactly when they share the merged marks and
-    the composition t, and the t's of one index pair are distinct, so the
-    sum keeps one ``{t: c}`` dict per merged-mark vector and the first
-    block of each vector goes in whole.  Every walked coefficient is a
-    product of nonzero binomials, so no sum vanishes.
+    ``merge(pair, a, b)`` routes the mark vectors to the target positions
+    and ``walks(r, s)`` gives every index pair with its nonzero ``(t, c)``
+    terms, in the order of :func:`_shape_walks`.  Two terms share a word
+    exactly when they share the merged marks and the composition t, and
+    the t's of one index pair are distinct, so the sum keeps one
+    ``{t: c}`` dict per merged-mark vector, the first pair of each vector
+    goes in whole, and each word is built once, at the end.  Every walked
+    coefficient is a product of nonzero binomials, so no sum vanishes.
     """
     sums: dict = {}
-    for marks, walked in blocks:
+    for marks, (_, walked) in zip(_merged_marks(merge, mu.marks, nu.marks),
+                                  walks(mu.exponents, nu.exponents)):
         acc = sums.get(marks)
         if acc is None:
             sums[marks] = dict(walked)
@@ -314,13 +293,13 @@ def explicit_product_b(mu: IndexedWord, nu: IndexedWord) -> LinComb:
     An empty factor is absorbed by the degenerate pair convention, under
     which the coefficient collapses to a Kronecker delta.
     """
-    return _closed_form_sum(_closed_form_blocks(mu, nu, merge_marks_b))
+    return _closed_form(mu, nu, merge_marks_b, _shape_walks)
 
 
 def explicit_product_e(mu: IndexedWord, nu: IndexedWord) -> LinComb:
     """Closed form of ``maps.product_e``: same coefficients as the b-form,
     with the quotient-coordinate mark merge."""
-    return _closed_form_sum(_closed_form_blocks(mu, nu, merge_marks_e))
+    return _closed_form(mu, nu, merge_marks_e, _shape_walks)
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +372,20 @@ def _perm_coeff_fast(sigma: tuple[int, ...], kappa: tuple[int, ...], k: int,
     return c
 
 
+def _perm_walks(r: tuple[int, ...], s: tuple[int, ...]
+                ) -> list[tuple[IndexPair, list]]:
+    """:func:`_shape_walks` with each walked coefficient recomputed by the
+    permutation formula, an independent formula for the same number."""
+    k, kappa = len(r), r + s
+    return [(pair, [(t, _perm_coeff_fast(sigma, kappa, k, t))
+                    for t, _ in walked])
+            for pair, walked in _shape_walks(r, s)
+            for sigma in (sigma_of_pair(pair),)]
+
+
 def perm_product_b(mu: IndexedWord, nu: IndexedWord) -> LinComb:
     """The b-form product computed through the permutation formulation."""
-    return _closed_form_sum(_closed_form_blocks(mu, nu, merge_marks_b,
-                                                perm_form=True))
+    return _closed_form(mu, nu, merge_marks_b, _perm_walks)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ mpl_numeric`` pays for numpy at the import and not inside the first sum.
 from __future__ import annotations
 
 import math
+import threading
 from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -262,6 +263,8 @@ _cache: dict[tuple[IndexedWord, int, bool], NumericValue] = {}
 # mpl_numeric calls answered by _cache, and words summed by _sweep to fill it
 _hits = 0
 _misses = 0
+# held wherever _cache, _hits or _misses change, never across a _sweep
+_lock = threading.Lock()
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
@@ -277,19 +280,20 @@ def mpl_numeric(word: IndexedWord, n_terms: int,
     ``allow_conditional`` is set, and then without a tail guarantee.  The
     empty word evaluates to 1 exactly.  Values are cached per
     ``(word, n_terms, allow_conditional)``; the 4096 most recently used are
-    kept.  ``mpl_numeric.cache_info()`` counts as hits the calls the cache
-    answers and as misses the words summed to fill it, here or in one
-    sweep for a whole relation.
+    kept, and threads may share the cache.  ``mpl_numeric.cache_info()``
+    counts as hits the calls the cache answers and as misses the words
+    summed to fill it, here or in one sweep for a whole relation.
     """
     global _hits
     key = (word, n_terms, allow_conditional)
-    val = _cache.pop(key, None)
-    if val is None:
-        val = _evaluate(word, n_terms, allow_conditional)
-        _store(key, val)
-    else:
-        _hits += 1
-        _cache[key] = val
+    with _lock:
+        val = _cache.pop(key, None)
+        if val is not None:
+            _hits += 1
+            _cache[key] = val
+            return val
+    val = _evaluate(word, n_terms, allow_conditional)
+    _store(key, val)
     return val
 
 
@@ -300,7 +304,8 @@ def _evaluate(word: IndexedWord, n_terms: int,
     error = _refusal(word, n_terms, allow_conditional)
     if error is not None:
         raise error
-    _misses += 1
+    with _lock:
+        _misses += 1
     return NumericValue(_sweep([word], n_terms)[0], n_terms,
                         _tail_estimate(word, n_terms))
 
@@ -314,9 +319,10 @@ mpl_numeric.cache_info = lambda: _CacheInfo(_hits, _misses, _CACHE_SIZE,
 
 def _store(key: tuple[IndexedWord, int, bool], val: NumericValue) -> None:
     """Cache ``val`` as the most recently used value, evicting the least."""
-    if len(_cache) >= _CACHE_SIZE:
-        del _cache[next(iter(_cache))]
-    _cache[key] = val
+    with _lock:
+        if len(_cache) >= _CACHE_SIZE:
+            del _cache[next(iter(_cache))]
+        _cache[key] = val
 
 
 def _prefill(words, n_terms: int, allow_conditional: bool) -> None:
@@ -332,17 +338,18 @@ def _prefill(words, n_terms: int, allow_conditional: bool) -> None:
     """
     global _misses
     missing: dict[IndexedWord, None] = {}
-    for word in words:
-        key = (word, n_terms, allow_conditional)
-        val = _cache.pop(key, None)
-        if val is not None:
-            _cache[key] = val
-        elif _refusal(word, n_terms, allow_conditional) is not None:
-            break
-        else:
-            missing[word] = None
-    if missing:
+    with _lock:
+        for word in words:
+            key = (word, n_terms, allow_conditional)
+            val = _cache.pop(key, None)
+            if val is not None:
+                _cache[key] = val
+            elif _refusal(word, n_terms, allow_conditional) is not None:
+                break
+            else:
+                missing[word] = None
         _misses += len(missing)
+    if missing:
         for word, value in zip(missing, _sweep(list(missing), n_terms)):
             _store((word, n_terms, allow_conditional),
                    NumericValue(value, n_terms, _tail_estimate(word, n_terms)))

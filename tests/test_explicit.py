@@ -14,8 +14,8 @@ from doubleshuffle import (MINUS_ONE, ONE, DomainError, GroupElement,
                            perm_coeff, perm_product_b, product_b, product_e,
                            sigma_of_pair)
 from doubleshuffle.core import LinComb
-from doubleshuffle.explicit import (IndexPair, _closed_form_blocks,
-                                    _merged_marks, _shape_walks, _walk,
+from doubleshuffle.explicit import (IndexPair, _merged_marks, _perm_walks,
+                                    _shape_walks, _walk,
                                     amp, dagger,
                                     extend_phi_leading, extend_psi_leading,
                                     restrict_phi_leading,
@@ -366,12 +366,14 @@ def unpruned_terms(mu, nu, merge):
             yield IndexedWord(tuple(zip(t, marks))), c
 
 
-def closed_form_words(mu, nu, merge, perm_form=False):
-    """The blocks of ``_closed_form_blocks`` flattened to ``(word, c)``
-    terms, each word built through the checking ``IndexedWord``
-    constructor."""
+def closed_form_words(mu, nu, merge, walks=_shape_walks):
+    """The terms the closed form sums, index pair by index pair, as
+    ``(word, c)``: each pair's merged marks zipped with its walked terms,
+    each word built through the checking ``IndexedWord`` constructor."""
     return [(IndexedWord(zip(t, marks)), c)
-            for marks, walked in _closed_form_blocks(mu, nu, merge, perm_form)
+            for marks, (_, walked) in zip(
+                _merged_marks(merge, mu.marks, nu.marks),
+                walks(mu.exponents, nu.exponents))
             for t, c in walked]
 
 
@@ -425,7 +427,7 @@ class TestPrunedWalk:
     def test_perm_coefficients_match_e_form_term_by_term(self):
         mu = IndexedWord(((2, GroupElement(1, 3)), (1, ONE), (3, ONE)))
         nu = IndexedWord(((1, GroupElement(2, 3)), (2, GroupElement(1, 3))))
-        perm = closed_form_words(mu, nu, merge_marks_b, perm_form=True)
+        perm = closed_form_words(mu, nu, merge_marks_b, _perm_walks)
         e_form = closed_form_words(mu, nu, merge_marks_e)
         assert len(perm) == len(e_form) > 0
         for (pw, pc), (ew, ec) in zip(perm, e_form):

@@ -1,6 +1,8 @@
 """Relation generators and truncated-sum verification."""
 
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -10,9 +12,10 @@ import pytest
 from doubleshuffle import (MINUS_ONE, ONE, DomainError, GroupElement,
                            IndexedWord, LinComb, Relation, binomial,
                            double_shuffle_relations, euler_relation,
-                           explicit_product_e, hoffman_difference,
-                           lambda_numeric, mpl_numeric, quasi_shuffle, theta,
-                           values, verify_relation_numeric, worked_examples)
+                           explicit_product_e, group_elements,
+                           hoffman_difference, lambda_numeric, mpl_numeric,
+                           quasi_shuffle, theta, values,
+                           verify_relation_numeric, worked_examples)
 from doubleshuffle.values import CHUNK, admissible_words, relation_stream
 
 from bruteforce import loop_mpl, loop_partial_sums
@@ -47,6 +50,24 @@ class TestEulerRelation:
             for s in range(2, 5):
                 assert euler_relation(r, s).combination == \
                     explicit_product_e(zw(r), zw(s))
+
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_two_marks_match_closed_form(self, order):
+        """The generalized decomposition of zeta(r; w) zeta(s; z), whose
+        second marks are the quotients z/w and w/z, for every pair of marks
+        of the order, exponent 1 included."""
+        marks = group_elements(order)
+        for w in marks:
+            for z in marks:
+                for r in range(1, 6):
+                    for s in range(1, 6):
+                        rel = values._depth_1_1_marked(r, s, w, z)
+                        assert rel.combination == \
+                            explicit_product_e(*rel.factors), (r, s, w, z)
+
+    def test_two_marks_numeric(self):
+        rel = values._depth_1_1_marked(2, 3, MINUS_ONE, GroupElement(1, 3))
+        assert verify_relation_numeric(rel, N, 1e-3).passed
 
 
 class TestDoubleShuffleRelations:
@@ -277,6 +298,41 @@ class TestSweep:
         for w in (a, b, c, a, d):  # the hit on a makes b the oldest
             mpl_numeric(w, 10)
         assert [key[0] for key in values._cache] == [c, a, d]
+
+    def test_cache_shared_between_threads(self, monkeypatch):
+        """Four threads over one four-entry cache, switching as often as
+        the interpreter allows, so evictions race lookups and stores."""
+        monkeypatch.setattr(values, "_cache", {})
+        monkeypatch.setattr(values, "_CACHE_SIZE", 4)
+        words = [IndexedWord(((s, ONE),)) for s in range(2, 40)]
+        errors, sizes = [], []
+        got = [{} for _ in range(4)]
+
+        def run(i):
+            mine = words[i % 2::2]
+            try:
+                for _ in range(500):
+                    for w in mine:
+                        got[i][w] = mpl_numeric(w, 3)
+                        sizes.append(len(values._cache))
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert max(sizes) <= 4
+        for seen in got:
+            for w, val in seen.items():
+                assert val == values._evaluate(w, 3, False)
 
     def test_prefill_stops_at_the_first_refused_word(self, monkeypatch):
         monkeypatch.setattr(values, "_cache", {})
