@@ -144,6 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
                         default="text", help="output format")
     common.add_argument("--group", default="trivial",
                         help="mark group: trivial, sign or root:N")
+    two_words = argparse.ArgumentParser(add_help=False, parents=[common])
+    two_words.add_argument("left")
+    two_words.add_argument("right")
 
     parser = argparse.ArgumentParser(
         prog="doubleshuffle",
@@ -151,32 +154,24 @@ def build_parser() -> argparse.ArgumentParser:
                     "nested-series values.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("shuffle", parents=[common],
+    p = sub.add_parser("shuffle", parents=[two_words],
                        help="interleaving product of two letter words")
-    p.add_argument("left")
-    p.add_argument("right")
     p.add_argument("--as-indexed", action="store_true",
                    help="re-encode the result as index words")
     p.set_defaults(func=_cmd_shuffle)
 
-    p = sub.add_parser("stuffle", parents=[common],
+    p = sub.add_parser("stuffle", parents=[two_words],
                        help="merge product of two index words")
-    p.add_argument("left")
-    p.add_argument("right")
     p.set_defaults(func=_cmd_product, product=quasi_shuffle)
 
-    p = sub.add_parser("explicit", parents=[common],
+    p = sub.add_parser("explicit", parents=[two_words],
                        help="closed-form product of two index words")
-    p.add_argument("left")
-    p.add_argument("right")
     p.add_argument("--form", choices=_CLOSED_FORMS, default="e",
                    help="plain (b) or quotient (e) mark coordinates")
     p.set_defaults(func=_cmd_product, product=None)
 
-    p = sub.add_parser("perm-form", parents=[common],
+    p = sub.add_parser("perm-form", parents=[two_words],
                        help="b-form product via shuffle permutations")
-    p.add_argument("left")
-    p.add_argument("right")
     p.set_defaults(func=_cmd_product, product=perm_product_b)
 
     p = sub.add_parser("euler", parents=[common],

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, pairwise
 from math import comb
 from typing import Iterator
 
@@ -89,15 +89,12 @@ def enum_index_pairs(k: int, l: int) -> Iterator[IndexPair]:
 
 
 def enum_compositions(n: int, m: int) -> Iterator[tuple[int, ...]]:
-    """All C(n-1, m-1) vectors of m positive integers summing to n, lexicographic."""
+    """All C(n-1, m-1) vectors of m positive integers summing to n,
+    lexicographic: the gaps between 0, m-1 cut points in 1..n-1, and n."""
     if m < 1 or n < m:
         return
-    if m == 1:
-        yield (n,)
-        return
-    for first in range(1, n - m + 2):
-        for rest in enum_compositions(n - first, m - 1):
-            yield (first,) + rest
+    for cuts in combinations(range(1, n), m - 1):
+        yield tuple([b - a for a, b in pairwise((0, *cuts, n))])
 
 
 def h_value(pair: IndexPair, r: tuple[int, ...], s: tuple[int, ...], i: int) -> int:
@@ -176,12 +173,10 @@ def merge_marks_e(pair: IndexPair, w: tuple[GroupElement, ...],
     """Quotient-coordinate merge: same-source runs copy the mark, source
     switches take the quotient of the two prefix products accumulated so far.
     """
-    if len(w) != pair.k or len(z) != pair.l:
-        raise DomainError("mark vectors do not match the arity of the pair")
     sources = _sources(pair)
     prod = {True: ONE, False: ONE}  # product of each source's marks so far
     out = []
-    for i, (mark, src) in enumerate(zip(pair.route(w, z), sources)):
+    for i, (mark, src) in enumerate(zip(merge_marks_b(pair, w, z), sources)):
         prod[src] *= mark
         switch = i and sources[i - 1] != src
         out.append(prod[src] / prod[not src] if switch else mark)

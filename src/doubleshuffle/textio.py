@@ -157,18 +157,18 @@ def format_lincomb(lc: LinComb) -> str:
 
 
 def _format_items(items: list) -> str:
-    if not items:
-        return "0"
+    return _signed_terms(items, lambda word, mag:
+                         f"{mag}*{word}" if len(word) else str(mag))
+
+
+def _signed_terms(items: list, body) -> str:
+    """``body(word, |c|)`` per term, signed: a bare ``-`` before a negative
+    first term, ``+ `` or ``- `` before each later one; ``0`` for none."""
     parts: list[str] = []
     for word, c in items:
-        body = str(c if not parts else abs(c))
-        if len(word) > 0:
-            body += f"*{word}"
-        if not parts:
-            parts.append(body)
-        else:
-            parts.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(parts)
+        sign = ("- " if c < 0 else "+ ") if parts else ("-" if c < 0 else "")
+        parts.append(sign + body(word, abs(c)))
+    return " ".join(parts) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -376,17 +376,7 @@ def lincomb_to_latex(lc: LinComb, group: str = "trivial") -> str:
 
 
 def _latex_items(items: list, group: str) -> str:
-    if not items:
-        return "0"
     style = _latex_style([w for w, _ in items], group)
-    parts: list[str] = []
-    for word, c in items:
-        mag = abs(c)
-        body = word_to_latex(word, style)
-        if mag != 1 or word.depth == 0:
-            body = f"{mag}{body}" if word.depth else str(mag)
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(parts)
+    return _signed_terms(items, lambda word, mag: (
+        str(mag) if word.depth == 0
+        else f"{'' if mag == 1 else mag}{word_to_latex(word, style)}"))

@@ -27,6 +27,7 @@ mpl_numeric`` pays for numpy at the import and not inside the first sum.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from bisect import bisect_right
 from collections import namedtuple
@@ -292,20 +293,18 @@ def mpl_numeric(word: IndexedWord, n_terms: int,
             _hits += 1
             _cache[key] = val
             return val
-    val = _evaluate(word, n_terms, allow_conditional)
-    _store(key, val)
-    return val
+    error = _refusal(word, n_terms, allow_conditional)
+    if error is not None:
+        raise error
+    return _fill([word], n_terms, allow_conditional)[0]
 
 
 def _evaluate(word: IndexedWord, n_terms: int,
               allow_conditional: bool) -> NumericValue:
     """:func:`mpl_numeric` without the value cache."""
-    global _misses
     error = _refusal(word, n_terms, allow_conditional)
     if error is not None:
         raise error
-    with _lock:
-        _misses += 1
     return NumericValue(_sweep([word], n_terms)[0], n_terms,
                         _tail_estimate(word, n_terms))
 
@@ -317,12 +316,21 @@ mpl_numeric.cache_info = lambda: _CacheInfo(_hits, _misses, _CACHE_SIZE,
                                             len(_cache))
 
 
-def _store(key: tuple[IndexedWord, int, bool], val: NumericValue) -> None:
-    """Cache ``val`` as the most recently used value, evicting the least."""
+def _fill(words: list[IndexedWord], n_terms: int,
+          allow_conditional: bool) -> list[NumericValue]:
+    """Sum ``words``, distinct and none refused, in one sweep, count them as
+    misses and cache their values as the most recently used, evicting the
+    least; return the values."""
+    global _misses
+    vals = [NumericValue(value, n_terms, _tail_estimate(word, n_terms))
+            for word, value in zip(words, _sweep(words, n_terms))]
     with _lock:
-        if len(_cache) >= _CACHE_SIZE:
-            del _cache[next(iter(_cache))]
-        _cache[key] = val
+        _misses += len(words)
+        for word, val in zip(words, vals):
+            if len(_cache) >= _CACHE_SIZE:
+                del _cache[next(iter(_cache))]
+            _cache[word, n_terms, allow_conditional] = val
+    return vals
 
 
 def _prefill(words, n_terms: int, allow_conditional: bool) -> None:
@@ -332,27 +340,19 @@ def _prefill(words, n_terms: int, allow_conditional: bool) -> None:
     Summing stops at the first word :func:`mpl_numeric` refuses: the
     uncached words before it are cached, as the calls before the refusing
     one would cache them, and none after it are summed.  A cached word is
-    stored again under the caller's word object, which makes it the most
-    recently used and lets the following lookup match by identity instead
-    of comparing the pairs.
+    only looked up, not made the most recently used, so a fill that
+    evicts it leaves its call to sum it again.
     """
-    global _misses
     missing: dict[IndexedWord, None] = {}
     with _lock:
         for word in words:
-            key = (word, n_terms, allow_conditional)
-            val = _cache.pop(key, None)
-            if val is not None:
-                _cache[key] = val
-            elif _refusal(word, n_terms, allow_conditional) is not None:
+            if (word, n_terms, allow_conditional) in _cache:
+                continue
+            if _refusal(word, n_terms, allow_conditional) is not None:
                 break
-            else:
-                missing[word] = None
-        _misses += len(missing)
+            missing[word] = None
     if missing:
-        for word, value in zip(missing, _sweep(list(missing), n_terms)):
-            _store((word, n_terms, allow_conditional),
-                   NumericValue(value, n_terms, _tail_estimate(word, n_terms)))
+        _fill(list(missing), n_terms, allow_conditional)
 
 
 def _refusal(word: IndexedWord, n_terms: int,
@@ -375,8 +375,10 @@ def _tail_estimate(word: IndexedWord, n_terms: int) -> float:
     if word.depth == 0 or word[0][0] < 2:
         return 0.0
     s1 = word[0][0]
+    # Past s1 = 2048 the power is 1.0 at N = 1 and 0.0 beyond, and a divisor
+    # past float range reads as the largest float: nothing overflows.
     return (math.log(n_terms + 1) ** (word.depth - 1)
-            * n_terms ** (1 - s1) / (s1 - 1))
+            * n_terms ** (1 - min(s1, 2048)) / min(s1 - 1, sys.float_info.max))
 
 
 def _numpy():
@@ -445,7 +447,8 @@ def _sweep(words: list[IndexedWord], n_terms: int) -> list[complex]:
     # even whenever there is more than one chunk
     signs = np.ones(width)
     signs[::2] = -1.0
-    # n ** s overflows to inf past about 1e308, and 1 / inf is the right 0.0
+    # n ** s overflows to inf past about 1e308, and 1 / inf is the right 0.0;
+    # n ** 2048 already does so from n = 2, so larger exponents are clamped
     with np.errstate(over="ignore"):
         for start in range(0, n_terms, width):
             length = min(width, n_terms - start)
@@ -460,10 +463,10 @@ def _sweep(words: list[IndexedWord], n_terms: int) -> list[complex]:
                     base = bases.get((s, mark))
                     if base is None:
                         if s not in powers:
-                            powers[s] = n ** s
+                            powers[s] = n ** min(s, 2048)
                         if mark.den > 2:
-                            phase = _phases(mark, start + 1, length)
-                            base = np.exp(2j * np.pi * phase / mark.den) / powers[s]
+                            phase, den = _phases(mark, start + 1, length)
+                            base = np.exp(2j * np.pi * phase / den) / powers[s]
                         else:
                             # -1/x is -(1/x) exactly, so both signs share 1/n^s
                             base = bases.get((s, ONE))
@@ -481,20 +484,26 @@ def _sweep(words: list[IndexedWord], n_terms: int) -> list[complex]:
     return [1.0 + 0j if r < 0 else complex(sums[r][length]) for r in roots]
 
 
-def _phases(mark: GroupElement, first: int, length: int) -> np.ndarray:
-    """The exact residues (num * n) % den for n = first, ..., first+length-1.
+def _phases(mark: GroupElement, first: int,
+            length: int) -> tuple[np.ndarray, int | float]:
+    """The exact residues (num * n) % den for n = first, ..., first+length-1,
+    and den: their ratio is the mark's angle in turns.
 
     The first residue is taken in Python integers; the rest add num * j to
     it, which stays below den * length, so int64 serves whenever that
-    product fits and Python integers otherwise.
+    product fits.  Otherwise they are Python integers, and they and den are
+    divided by one power of two that brings den below 2**1000, as Python
+    integers: that quotient rounds correctly and never overflows, and a
+    power of two scales the ratio exactly (below 2**1000 it is 1).
     """
     np = _numpy()
     num, den = mark.num, mark.den
     p0 = num * first % den
     if den * length < 2 ** 63:
-        return (p0 + num * np.arange(length, dtype=np.int64)) % den
-    return np.array([(p0 + num * j) % den for j in range(length)],
-                    dtype=np.float64)
+        return (p0 + num * np.arange(length, dtype=np.int64)) % den, den
+    scale = 1 << max(den.bit_length() - 1000, 0)
+    return (np.array([(p0 + num * j) % den / scale for j in range(length)]),
+            den / scale)
 
 
 def lambda_numeric(word: IndexedWord, n_terms: int,

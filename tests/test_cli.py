@@ -558,15 +558,17 @@ class TestCommandLine:
     def test_verify_sums_large_exponents_quietly(self):
         """n ** 62 overflows to inf past n = 93,700, within the default
         truncation, and 1 / inf is the right 0.0: nothing reaches stderr,
-        and zeta(62) still reads as 1.0."""
-        line = '{"terms": [{"coeff": "1", "s": [62], "m": ["0/1"]}]}\n'
-        proc = fresh_python("-m", "doubleshuffle", "verify", "--format",
-                            "json", stdin=line)
-        assert proc.stderr == ""
-        assert proc.returncode == 1
-        assert json.loads(proc.stdout) == {
-            "label": "double-shuffle[]", "passed": False, "residual": 1.0,
-            "bound": 0.001}
+        and zeta(62) still reads as 1.0.  So does an exponent past float
+        range, 10**400."""
+        for s in ("62", "1" + "0" * 400):
+            line = '{"terms": [{"coeff": "1", "s": [%s], "m": ["0/1"]}]}\n' % s
+            proc = fresh_python("-m", "doubleshuffle", "verify", "--format",
+                                "json", stdin=line)
+            assert proc.stderr == ""
+            assert proc.returncode == 1
+            assert json.loads(proc.stdout) == {
+                "label": "double-shuffle[]", "passed": False, "residual": 1.0,
+                "bound": 0.001}
 
     def test_module_entry_point(self, capsys):
         proc = fresh_python("-m", "doubleshuffle", "euler", "2", "3")

@@ -201,6 +201,19 @@ class TestNumeric:
         assert abs(got.value.real + math.log(2)) < 1e-3
         assert got.tail_estimate == 0.0
 
+    def test_exponent_past_float_range_sums_to_one(self):
+        """n ** s is inf for every n >= 2 long before s = 10**400, so the
+        sum is its n = 1 term, and the tail estimate is all but 0."""
+        for n_terms in (1, 1000):
+            got = values._evaluate(zw(10 ** 400), n_terms, False)
+            assert got.value == 1.0
+            assert 0.0 <= got.tail_estimate < 1e-300
+
+    @pytest.mark.parametrize("num", (1, 10 ** 400 - 1), ids=("one", "den-1"))
+    def test_denominator_past_float_range_is_near_the_identity(self, num):
+        got = mpl_numeric(mw((2,), (GroupElement(num, 10 ** 400),)), 1000)
+        assert abs(got.value - mpl_numeric(zw(2), 1000).value) < 1e-12
+
     def test_lambda_trivial_group(self):
         assert lambda_numeric(zw(2, 1), 1000) == mpl_numeric(zw(2, 1), 1000)
 
@@ -340,6 +353,18 @@ class TestSweep:
         values._prefill(words, 100, allow_conditional=False)
         assert [key[0] for key in values._cache] == [zw(2)]
 
+    def test_prefill_leaves_cached_keys_in_place(self, monkeypatch):
+        """A cached word is only probed: its key object and its place in
+        the use order stay, even when the caller's word is another object."""
+        monkeypatch.setattr(values, "_cache", {})
+        for w in (zw(2), zw(3), zw(4)):
+            mpl_numeric(w, 100)
+        before = list(values._cache)
+        values._prefill([zw(4), zw(2)], 100, False)
+        after = list(values._cache)
+        assert after == before
+        assert all(a is b for a, b in zip(after, before))
+
     @pytest.mark.parametrize("num, den", [(999_999_999_989, 10 ** 12),
                                           (10 ** 29 + 7, 10 ** 30)])
     def test_large_denominator_phases_are_exact(self, num, den):
@@ -444,6 +469,12 @@ class TestVerification:
         second = mpl_numeric.cache_info()
         assert second.misses == first.misses
         assert second.hits - first.hits == calls
+
+    def test_uncached_evaluation_counts_nothing(self):
+        word = zw(5, 1, 2)
+        before = mpl_numeric.cache_info()
+        mpl_numeric.__wrapped__(word, 100, False)
+        assert mpl_numeric.cache_info() == before
 
     def test_inevaluable_word_raises(self):
         bad = Relation("double-shuffle", (), LinComb.single(zw(1, 2)))
