@@ -6,10 +6,9 @@ interleaving (shuffle) product transported from letter words.  This package
 computes both, provides a closed-form expansion of the transported product
 with explicit binomial coefficients, generates the resulting relations among
 multiple zeta values, alternating sums and polylogarithms at roots of unity,
-and verifies them numerically by truncated nested sums.
+and verifies them numerically, each value with a certified error bound.
 """
 
-from . import values
 from .core import (MINUS_ONE, ONE, DomainError, GroupElement, IndexedWord,
                    LinComb, ShuffleWord, bilinear, binomial, group_elements)
 from .explicit import (coeff, coeff_factor, coeff_nonzero, enum_compositions,
@@ -21,12 +20,8 @@ from .maps import (eta, eta_inv, product_b, product_e, rho, rho_inv, theta,
                    theta_inv)
 from .recursive import op_P, op_Q, quasi_shuffle, shuffle
 from .values import (Relation, double_shuffle_relations, euler_relation,
-                     hoffman_difference, worked_examples)
-
-# Served by __getattr__, which loads numpy first, so that importing the
-# package for the exact algebra does not.
-_NUMERIC = frozenset({"lambda_numeric", "mpl_numeric",
-                      "verify_relation_numeric"})
+                     hoffman_difference, lambda_numeric, mpl_numeric,
+                     verify_relation_numeric, worked_examples)
 
 __all__ = [
     "DomainError", "GroupElement", "IndexedWord", "LinComb",
@@ -44,16 +39,3 @@ __all__ = [
 
 __version__ = "0.1.0"
 
-
-def __getattr__(name: str):
-    """The numeric functions of :mod:`.values`, with numpy loaded, so that
-    ``from doubleshuffle import mpl_numeric`` pays for numpy at the import
-    and not inside the first sum."""
-    if name in _NUMERIC:
-        values._numpy()
-        return getattr(values, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | _NUMERIC)

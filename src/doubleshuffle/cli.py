@@ -1,8 +1,7 @@
 """Command line surface.
 
 Exit status: 0 on success, 1 when ``verify`` finds a failing relation,
-2 on malformed input (word syntax, JSON, argument domain, or nesting too deep)
-or when ``verify`` cannot load numpy.
+2 on malformed input (word syntax, JSON, argument domain, or nesting too deep).
 """
 
 from __future__ import annotations
@@ -191,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common],
                        help="numerically verify relations read as JSON lines")
     p.add_argument("--terms", type=int, default=100000,
-                   help="truncation of every nested sum")
+                   help="most terms taken of each series a value is "
+                        "summed from")
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--allow-conditional", action="store_true",
                    help="sum conditionally convergent words too")

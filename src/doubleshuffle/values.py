@@ -9,36 +9,31 @@ with the product of values it came from.  Two flavors exist:
 * zero sums (``kind`` in ``ZERO_SUM_KINDS``): the combination itself should
   vanish, e.g. the difference of the two expansions of one product.
 
-Numeric evaluation uses plain truncation of the defining nested sums with an
-explicit tail estimate; see :func:`mpl_numeric`.  The words a relation needs
-are summed together over one trie of their shared suffixes, sweeping n in
-fixed chunks of ``CHUNK``, so memory is O(CHUNK * nodes) whatever the
-truncation N.  Suffixes whose marks are all +-1 have real sums, and two of
-one length are carried as the halves of one complex row, so one ``cumsum``
-adds both.  Every value equals the one summed word by word over all N, bit
-for bit.
-
-Only these sums need numpy, which :func:`_numpy` imports on the first one,
-so the exact-algebra commands start without it.  The package hands out the
-numeric functions after loading numpy, so ``from doubleshuffle import
-mpl_numeric`` pays for numpy at the import and not inside the first sum.
+Numeric evaluation sums each value to about double precision by Hölder
+convolution (Borwein, Bradley, Broadhurst and Lisoněk, Trans. AMS 353
+(2001), section 7): the value's iterated integral is split into products of
+power series whose terms shrink geometrically; see :func:`_sum`.  Each value
+comes with a certified bound on its error, the tails left off its series
+plus the float rounding, bounded a priori in the style of Higham, *Accuracy
+and Stability of Numerical Algorithms*, chapters 3 and 4.  The standard
+library is all it needs.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import threading
 from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from itertools import product as iter_product
+from operator import truediv
 from typing import Iterator
 
 from .core import (MINUS_ONE, ONE, DomainError, GroupElement, IndexedWord,
                    LinComb, binomial, group_elements)
 from .explicit import enum_compositions, explicit_product_e
-from .maps import theta
+from .maps import theta, theta_inv_marks
 from .recursive import quasi_shuffle
 
 ZERO_SUM_KINDS = frozenset({"double-shuffle", "hoffman"})
@@ -70,7 +65,8 @@ class Relation:
 
 @dataclass(frozen=True)
 class NumericValue:
-    """A truncated nested sum: its value, the cutoff, and a tail estimate."""
+    """A nested sum: its value, the most terms one of its series took, and a
+    certified bound on its error (the tails left off plus the rounding)."""
 
     value: complex
     truncation_n: int
@@ -254,36 +250,56 @@ def _depth_1_1_marked(r1: int, s1: int, w1: GroupElement,
 # Numeric evaluation
 
 
-CHUNK = 2 ** 13
-"""Values of n summed per step of :func:`_sweep`; an evaluation holds
-O(CHUNK) numbers per trie node whatever the truncation N."""
+_U = 2.0 ** -53
+"""The unit roundoff of a double: a basic operation is exact to within a
+factor 1 + delta, |delta| <= _U."""
+_TAIL = 2.0 ** -55
+"""Each series takes the fewest terms whose tail bound is below this."""
+_MAX_S = 2048
+"""Exponents are summed clamped to this: n ** -2048 is 0.0 from n = 2 on,
+and the terms it drops are below the least positive double."""
+_BLOCK = 4096
+"""Terms of a series summed per step: a sum holds O(_BLOCK) numbers per
+letter, whatever its number of terms."""
+_LETTER = 16
+"""The relative error of a computed complex letter, in units of _U.
+
+The angle t of a mark, reduced exactly into (-1/2, 1/2], is rounded once,
+and 2 pi t or pi t once more along with pi itself, so the angle is off by
+at most 3 |angle| _U.  With cos, sin and tan within an ulp, as in glibc,
+the lower letter y e^{-2 pi i t} is then within (3 pi + 3 sqrt 2) _U of
+its value, and the upper letter (1 - y)/2 (1 + i cot(pi t)) within
+(3 pi / 2 + 4) _U, both relative to their modulus."""
+_SAFETY = 1 + 2.0 ** -20
+"""Covers the second-order rounding terms, at most (P _U)^2 for P _U below
+1e-6, and the rounding of the bound's own arithmetic."""
 
 _CACHE_SIZE = 4096
 # (word, n_terms, allow_conditional) -> NumericValue, least recently used first.
 _cache: dict[tuple[IndexedWord, int, bool], NumericValue] = {}
-# mpl_numeric calls answered by _cache, and words summed by _sweep to fill it
+# mpl_numeric calls answered by _cache, and words summed by _fill to fill it
 _hits = 0
 _misses = 0
-# held wherever _cache, _hits or _misses change, never across a _sweep
+# held wherever _cache, _hits or _misses change, never across a sum
 _lock = threading.Lock()
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 def mpl_numeric(word: IndexedWord, n_terms: int,
                 allow_conditional: bool = False) -> NumericValue:
-    """Truncation of  sum_{N >= n1 > ... > nk >= 1} prod z_i^{n_i} / n_i^{s_i}.
+    """The nested sum  sum_{n1 > ... > nk >= 1} prod z_i^{n_i} / n_i^{s_i},
+    to about double precision, with a certified bound on its error.
 
-    Evaluated by :func:`_sweep` as a trie of one word, whose nodes are its
-    suffixes: running inner sums are carried outward over fixed chunks of n,
-    so memory is O(CHUNK * nodes) whatever N is.  The default mode requires
-    the leading exponent to be >= 2 (absolutely convergent); a leading
-    exponent 1 with a non-identity mark is only summed when
-    ``allow_conditional`` is set, and then without a tail guarantee.  The
-    empty word evaluates to 1 exactly.  Values are cached per
-    ``(word, n_terms, allow_conditional)``; the 4096 most recently used are
-    kept, and threads may share the cache.  ``mpl_numeric.cache_info()``
-    counts as hits the calls the cache answers and as misses the words
-    summed to fill it, here or in one sweep for a whole relation.
+    Summed by :func:`_sum`, whose series each take at most ``n_terms``
+    terms.  The default mode requires the leading exponent to be >= 2
+    (absolutely convergent); a leading exponent 1 with a non-identity mark
+    is only summed when ``allow_conditional`` is set, and refused even then
+    when its series would need more than ``n_terms`` terms.  The empty word
+    evaluates to 1 exactly.  Values are cached per ``(word, n_terms,
+    allow_conditional)``; the 4096 most recently used are kept, and threads
+    may share the cache.  ``mpl_numeric.cache_info()`` counts as hits the
+    calls the cache answers and as misses the words summed to fill it, here
+    or for a whole relation at once.
     """
     global _hits
     key = (word, n_terms, allow_conditional)
@@ -305,8 +321,7 @@ def _evaluate(word: IndexedWord, n_terms: int,
     error = _refusal(word, n_terms, allow_conditional)
     if error is not None:
         raise error
-    return NumericValue(_sweep([word], n_terms)[0], n_terms,
-                        _tail_estimate(word, n_terms))
+    return _sum(word, n_terms)
 
 
 # Only perfbench/selfcheck.py reads this: it swaps the uncached evaluation
@@ -318,12 +333,11 @@ mpl_numeric.cache_info = lambda: _CacheInfo(_hits, _misses, _CACHE_SIZE,
 
 def _fill(words: list[IndexedWord], n_terms: int,
           allow_conditional: bool) -> list[NumericValue]:
-    """Sum ``words``, distinct and none refused, in one sweep, count them as
-    misses and cache their values as the most recently used, evicting the
-    least; return the values."""
+    """Sum ``words``, distinct and none refused, count them as misses and
+    cache their values as the most recently used, evicting the least;
+    return the values."""
     global _misses
-    vals = [NumericValue(value, n_terms, _tail_estimate(word, n_terms))
-            for word, value in zip(words, _sweep(words, n_terms))]
+    vals = [_sum(word, n_terms) for word in words]
     with _lock:
         _misses += len(words)
         for word, val in zip(words, vals):
@@ -334,7 +348,7 @@ def _fill(words: list[IndexedWord], n_terms: int,
 
 
 def _prefill(words, n_terms: int, allow_conditional: bool) -> None:
-    """Cache the values of ``words`` in one sweep, so that the
+    """Cache the values of ``words`` in one fill, so that the
     :func:`mpl_numeric` calls that follow, in the same order, all hit.
 
     Summing stops at the first word :func:`mpl_numeric` refuses: the
@@ -364,146 +378,296 @@ def _refusal(word: IndexedWord, n_terms: int,
         return DomainError(f"{word} is not admissible")
     if n_terms < 1:
         return ValueError("need at least one term")
-    if word[0][0] == 1 and not allow_conditional:
-        return DomainError(f"{word} converges only conditionally")
+    if word[0][0] == 1:
+        if not allow_conditional:
+            return DomainError(f"{word} converges only conditionally")
+        if _plan(_parts(word), n_terms) is None:
+            return DomainError(f"{word} converges only conditionally, and "
+                               f"too slowly to sum in {n_terms} terms")
     return None
 
 
-def _tail_estimate(word: IndexedWord, n_terms: int) -> float:
-    """(log(N+1))^(depth-1) N^(1-s1) / (s1-1) for a leading exponent s1 >= 2,
-    else 0."""
-    if word.depth == 0 or word[0][0] < 2:
-        return 0.0
-    s1 = word[0][0]
-    # Past s1 = 2048 the power is 1.0 at N = 1 and 0.0 beyond, and a divisor
-    # past float range reads as the largest float: nothing overflows.
-    return (math.log(n_terms + 1) ** (word.depth - 1)
-            * n_terms ** (1 - min(s1, 2048)) / min(s1 - 1, sys.float_info.max))
+def _parts(word: IndexedWord) -> list[tuple[int, GroupElement]]:
+    """The pairs (s_j, b_j), b_j = 1/(z_1...z_j), of a word's letters,
+    each exponent clamped to _MAX_S."""
+    return [(min(s, _MAX_S), b)
+            for s, b in zip(word.exponents, theta_inv_marks(word.marks))]
 
 
-def _numpy():
-    """numpy, imported on first use: only nested sums need it."""
-    import numpy
-    return numpy
+def _sum(word: IndexedWord, n_terms: int) -> NumericValue:
+    """The value of a word :func:`_refusal` accepts, by Hölder convolution.
 
+    Borwein, Bradley, Broadhurst and Lisoněk, "Special values of multiple
+    polylogarithms", Trans. AMS 353 (2001), section 7.  With the marks b_j
+    of :func:`_parts`, the word's letters are a = (0^{s_1-1}, b_1, ...,
+    0^{s_k-1}, b_k), n of them, and its value is (-1)^k I(1; a), where
+    I(1; a) is the integral over 1 > t_1 > ... > t_n > 0 of
+    prod dt_i / (t_i - a_i).  Split at y:
 
-def _sweep(words: list[IndexedWord], n_terms: int) -> list[complex]:
-    """The truncated nested sums of ``words`` in one pass over n = 1..N.
+        I(1; a) = sum_{j=0}^{n} (-1)^j U_j L_j,
+        U_j = I(1; (1 - a_j)/(1 - y), ..., (1 - a_1)/(1 - y)),
+        L_j = I(1; a_{j+1}/y, ..., a_n/y).
 
-    The words' suffixes form a trie: node ``word[i:]`` has the inner child
-    ``word[i+1:]``, so words sharing a suffix share its partial sums.  A
-    node's running sum A(n) grows by its base z^n / n^s times the inner
-    node's A(n-1).  Each chunk of n builds every distinct base once and then
-    updates the nodes innermost first, one suffix length at a time.  Slot 0
-    of a node's row carries A at the chunk boundary, so one ``cumsum`` over
-    the row adds the terms in plain sequential order, and a chunked value
-    equals the value summed over all N at once.  A node whose marks are all
-    +-1 is real: two real nodes of one suffix length share a complex row,
-    one in each half, and since a complex ``cumsum`` is two independent
-    real ones, each half holds the bits its own float64 row would.  Any
-    other node, and a real node left without a partner, has a row of its
-    own.
+    With d the least |1 - b_j| over the b_j != 1 and y = max(1/2, 1 - d/2),
+    every nonzero letter of a piece has modulus at least 2 (upper) or 1/y
+    (lower), so its series converges geometrically (:func:`_chain`).  The
+    word's own series, y = 1, is summed instead when it takes fewer
+    term-letter steps, as for a large leading exponent, or when the split
+    would need more than ``n_terms`` terms, as for a mark of huge order;
+    its tail then shrinks as a power (:func:`_own_chain`).
+    ``truncation_n`` is the most terms a series took.
     """
-    index: dict[tuple, int] = {}
-    nodes: list[tuple[int, GroupElement, int]] = []  # (s, mark, inner or -1)
-    real: list[bool] = []
-    levels: list[list[int]] = []  # nodes by suffix length - 1
-    roots = []
-    for word in words:
-        inner = -1
-        for i in range(word.depth - 1, -1, -1):
-            node = index.get(word[i:])
-            if node is None:
-                s, mark = word[i]
-                node = index[word[i:]] = len(nodes)
-                nodes.append((s, mark, inner))
-                real.append(mark.den <= 2 and (inner < 0 or real[inner]))
-                if len(levels) < word.depth - i:
-                    levels.append([])
-                levels[word.depth - i - 1].append(node)
-            inner = node
-        roots.append(inner)
-    if not nodes:
-        return [1.0 + 0j] * len(words)
-    np = _numpy()
-    width = min(CHUNK, n_terms)
-    sums: list[np.ndarray] = [None] * len(nodes)  # a node's A(start + j)
-    rows: list[tuple[np.ndarray, list[int]]] = []  # (row, its nodes)
-    for level in levels:
-        reals = [v for v in level if real[v]]
-        for v in level:
-            if not real[v]:
-                rows.append((np.zeros(width + 1, np.complex128), [v]))
-        if len(reals) % 2:
-            rows.append((np.zeros(width + 1, np.float64), [reals.pop()]))
-        for a, b in zip(reals[::2], reals[1::2]):
-            rows.append((np.zeros(width + 1, np.complex128), [a, b]))
-    for row, members in rows:
-        if len(members) == 1:
-            sums[members[0]] = row
+    if word.depth == 0:
+        return NumericValue(1.0 + 0j, 0, 0.0)
+    parts = _parts(word)
+    chains = _plan(parts, n_terms)
+    if len(chains) == 1:
+        steps, terms, _ = chains[0]
+        value, error = _own_chain(steps, terms, parts[0][0], len(parts))
+    else:
+        value, error = _convolve(*chains)
+    sign = -1 if word.depth % 2 else 1
+    return NumericValue(complex(sign * value),
+                        max(terms for _, terms, _ in chains), error)
+
+
+def _convolve(upper: tuple, lower: tuple) -> tuple[float | complex, float]:
+    """I(1; a) = sum_j (-1)^j U_j L_j from the upper and lower chains of
+    :func:`_split`, with a bound on its error: each piece's error times the
+    other piece, and the rounding of the products and sums."""
+    uppers = _chain(*upper)
+    lowers = _chain(*lower)[::-1]
+    value = error = mass = 0.0
+    for j, ((u, u_err), (low, low_err)) in enumerate(zip(uppers, lowers)):
+        value += -u * low if j % 2 else u * low
+        error += u_err * (abs(low) + low_err) + abs(u) * low_err
+        mass += abs(u) * abs(low)
+    # a product rounds once, up to 2 sqrt 2 when complex, and the n sums
+    # after the first term once each
+    product = 3 if isinstance(value, complex) else 1
+    error += _U * (product + len(uppers) - 1) * mass
+    return value, error * _SAFETY
+
+
+def _plan(parts: list[tuple[int, GroupElement]], n_terms: int):
+    """The chains :func:`_sum` sums a word through: the two of
+    :func:`_split` at y = max(1/2, 1 - d/2), or the word's own chain alone,
+    as (steps, terms, 1.0).  None when the word's leading exponent is 1 and
+    the split would need more than ``n_terms`` terms."""
+    d = min((2 * abs(math.sin(math.pi * _turn(b))) for _, b in parts
+             if b.den > 1), default=2.0)
+    y = max(0.5, 1 - d / 2)
+    split = _split(parts, y, n_terms) if y < 1 else None
+    if parts[0][0] == 1:
+        return split
+    own = [(_lower(b, 1.0), s - 1) for s, b in reversed(parts)]
+    cap = n_terms
+    if split is not None:  # the split's term-letter steps, per own step
+        steps = sum(terms * len(chain) for chain, terms, _ in split)
+        cap = max(1, min(n_terms, steps // sum(1 + (r > 0) for _, r in own)))
+    own_terms = _least_terms(
+        lambda terms: _power_tail(terms, parts[0][0], len(parts)), cap)
+    if split is None or own_terms is not None:
+        return [(own, own_terms or n_terms, 1.0)]
+    return split
+
+
+def _split(parts: list[tuple[int, GroupElement]], y: float, n_terms: int):
+    """The upper and lower chains of the split at y, each as (steps, terms,
+    x): the steps of :func:`_series`, innermost first, the number of terms,
+    and x >= 1/|c| for each nonzero letter c.  The upper chain's pieces are
+    U_0, ..., U_n and the lower one's L_n, ..., L_0.  None when either
+    would need more than ``n_terms`` terms."""
+    upper = []
+    for s, b in parts:
+        upper += [(1 - y, 0)] * (s - 1)
+        inv = _upper(b, y)
+        upper.append((None, 1) if inv is None else (inv, 0))
+    lower = []
+    for s, b in reversed(parts):
+        lower.append((_lower(b, y), 0))
+        lower += [(None, 1)] * (s - 1)
+    # the computed moduli are within _LETTER _U of the true ones
+    x_up = max(abs(inv) for inv, _ in upper if inv is not None) \
+        * (1 + 2.0 ** -40)
+    k_up = sum(inv is not None for inv, _ in upper)
+    up_terms = _least_terms(
+        lambda terms: _geometric_tail(terms, k_up, x_up), n_terms)
+    low_terms = _least_terms(
+        lambda terms: _geometric_tail(terms, len(parts), y), n_terms)
+    if up_terms is None or low_terms is None:
+        return None
+    return (upper, up_terms, x_up), (lower, low_terms, y)
+
+
+def _turn(mark: GroupElement) -> float:
+    """The mark's angle in turns, reduced exactly into (-1/2, 1/2]."""
+    num = mark.num - mark.den if 2 * mark.num > mark.den else mark.num
+    return num / mark.den
+
+
+def _lower(mark: GroupElement, y: float) -> float | complex:
+    """The inverse y/b of the letter b/y, for b the mark's point on the
+    unit circle."""
+    if mark.den <= 2:
+        return y if mark.den == 1 else -y
+    angle = math.tau * _turn(mark)
+    return complex(y * math.cos(angle), -y * math.sin(angle))
+
+
+def _upper(mark: GroupElement, y: float) -> float | complex | None:
+    """The inverse (1 - y)/(1 - b) = (1 - y)/2 (1 + i cot(pi t)) of the
+    letter (1 - b)/(1 - y), for b = e^{2 pi i t} the mark's point on the
+    unit circle; None for b = 1, whose letter is 0."""
+    half = (1 - y) / 2  # exact: 1 - y is, for y in [1/2, 1]
+    if mark.den <= 2:
+        return None if mark.den == 1 else half
+    return complex(half, half / math.tan(math.pi * _turn(mark)))
+
+
+def _series(steps: list[tuple], terms: int) -> list[float | complex]:
+    """The sums over m = 1..``terms`` of the power series of a chain's
+    pieces: the empty piece (1), then the piece after each step.
+
+    A piece I(t; c_1, ..., c_n) = sum_m f_m t^m, so the sum of its series
+    is I(1; c).  A step (inv, r) puts outside the piece the letter c =
+    1/inv, unless inv is None, and then r letters 0.  The letter c maps f to
+    f'_m = -g_{m-1}/m, where g_m = (f_m + g_{m-1})/c, and a letter 0 maps
+    f_m to f_m/m.  Values of m are taken in blocks of _BLOCK, each letter
+    carrying its g from one block to the next.  A block's terms are summed
+    from the last, so that a term of index m passes at most m sums.
+    """
+    sums = [1.0] + [0.0] * len(steps)
+    carries = [0.0] * len(steps)
+    carries[0] = steps[0][0]  # g_0 = f_0 / c, with f = 1 for the empty piece
+    for start in range(1, terms + 1, _BLOCK):
+        stop = min(start + _BLOCK, terms + 1)
+        f = [0.0] * (stop - start)
+        for i, (inv, r) in enumerate(steps):
+            if inv is not None:
+                g = carries[i]
+                last = f[-1]
+                f = [g / -start] + [(g := (c + g) * inv) / m for c, m in
+                                    zip(f, range(-start - 1, -stop, -1))]
+                carries[i] = (last + g) * inv
+            if r == 1:
+                f = list(map(truediv, f, range(start, stop)))
+            elif r:
+                f = [c * m ** -r for c, m in zip(f, range(start, stop))]
+            sums[i + 1] += sum(reversed(f))
+    return sums
+
+
+def _index_cost(steps: list[tuple]) -> int:
+    """The rounding, in units of _U, that one unit of a term's outer index
+    m costs in :func:`_series`: a term passes m sums and m products by a
+    letter's inverse, and carries m powers of the letters.  A product by a
+    power of two is exact, one by another real rounds once, and one by a
+    complex number, computed itself to within _LETTER, up to 2 sqrt 2."""
+    invs = [inv for inv, _ in steps if inv is not None]
+    if any(isinstance(inv, complex) for inv in invs):
+        return 1 + 3 + _LETTER
+    return 1 + any(abs(math.frexp(inv)[0]) != 0.5 for inv in invs)
+
+
+def _chain(steps: list[tuple], terms: int,
+           x: float) -> list[tuple[float | complex, float]]:
+    """Each piece of a split chain as (its value, a bound on its error),
+    the empty piece first.
+
+    A piece of k nonzero letters, each of modulus >= 1/x, is a nested sum
+    over m_1 > ... > m_k >= 1 whose term has modulus at most x^{m_1}
+    prod 1/m_i: the letter powers telescope.  At most C(m-1, k-1) terms
+    share m_1 = m, so the tail past ``terms`` is bound by
+    :func:`_geometric_tail`.  Summed over all terms, those moduli are at
+    most lambda^k/k!, lambda = -log(1 - x), and weighted by m_1 at most x
+    lambda^{k-1}/((k-1)! (1 - x)).  The rounding is at most _U times the
+    sum of each term's modulus and the roundings on its path: the index
+    cost of :func:`_index_cost` per unit of m_1, one more for the final
+    sum, and one per letter for the division by m.
+    """
+    sums = _series(steps, terms)
+    log_lam = math.log(-math.log1p(-x))
+    index = _index_cost(steps) + 1
+    blocks = -(-terms // _BLOCK)
+    out = [(1.0, 0.0)]
+    k = 0
+    for level, ((inv, _), value) in enumerate(zip(steps, sums[1:]), 1):
+        k += inv is not None
+        mass = math.exp(k * log_lam - math.lgamma(k + 1))
+        moment = x / (1 - x) * math.exp((k - 1) * log_lam - math.lgamma(k))
+        rounding = index * moment + (level + blocks - 1) * mass
+        out.append((value, _geometric_tail(terms, k, x) + _U * rounding))
+    return out
+
+
+def _own_chain(steps: list[tuple], terms: int, s: int,
+               k: int) -> tuple[float | complex, float]:
+    """The word's own series, with a bound on its error: leading exponent
+    s >= 2, depth k, letters on the unit circle.
+
+    A term of outer index m has modulus at most m^{-s} e_{k-1}(1, ...,
+    1/(m-1)) <= m^{-s} H_{m-1}^{k-1}/(k-1)!, whose tail is bound by
+    :func:`_power_tail`.  Summed, those are at most 1/(k-1)! plus the tail
+    past 1; weighted by m, the same at s - 1, or ``terms`` times it at
+    s = 2.  Rounding as in :func:`_chain`, with a run of r >= 2 zeros
+    costing 3 (a power and a product) and a letter or a single zero 1.
+    """
+    value = _series(steps, terms)[-1]
+    first = math.exp(-math.lgamma(k))
+    mass = first + _power_tail(1, s, k)
+    moment = terms * mass if s == 2 else first + _power_tail(1, s - 1, k)
+    levels = sum(1 + (r == 1) + 3 * (r > 1) for _, r in steps)
+    blocks = -(-terms // _BLOCK)
+    rounding = (_index_cost(steps) + 1) * moment + (levels + blocks - 1) * mass
+    return value, (_power_tail(terms, s, k) + _U * rounding) * _SAFETY
+
+
+def _geometric_tail(terms: int, k: int, x: float) -> float:
+    """sum_{m > M} C(m-1, k-1) x^m, M = terms, bound by its first term over
+    1 - rho, where rho, the ratio of that term to the next, bounds every
+    later ratio; infinite while rho >= 1."""
+    if terms < k - 1 or x * (terms + 1) >= terms + 2 - k:
+        return math.inf
+    log_first = (math.lgamma(terms + 1) - math.lgamma(k)
+                 - math.lgamma(terms + 2 - k) + (terms + 1) * math.log(x))
+    if log_first > 700:  # e^700 is near the largest double
+        return math.inf
+    return math.exp(log_first) / (1 - x * (terms + 1) / (terms + 2 - k))
+
+
+def _power_tail(terms: int, s: int, k: int) -> float:
+    """A bound on sum_{m > M} m^{-s} (1 + log m)^{k-1}/(k-1)!, M = terms,
+    s >= 2: the first term, plus the integral from M + 1 on of
+    x^{-s} (c + log x)^{k-1}/(k-1)! with c = 1 + 1/(M + 1), which bounds
+    each later term over the unit interval below it.  That integral is
+    (M+1)^{1-s} sum_j (c + log(M+1))^{k-1-j}/((k-1-j)! (s-1)^{j+1})."""
+    log_n = math.log(terms + 1)
+    log_c = math.log(1 + 1 / (terms + 1) + log_n)
+    first = math.exp((k - 1) * math.log1p(log_n) - math.lgamma(k)
+                     - s * log_n)
+    rest = sum(math.exp((k - 1 - j) * log_c - math.lgamma(k - j)
+                        - (j + 1) * math.log(s - 1) + (1 - s) * log_n)
+               for j in range(k))
+    return first + rest
+
+
+def _least_terms(tail, cap: int) -> int | None:
+    """The least M <= cap with tail(M) <= _TAIL, for a tail bound that
+    falls with M, found by doubling and then bisection; None past cap."""
+    high = 1
+    while tail(high) > _TAIL:
+        if high >= cap:
+            return None
+        high = min(2 * high, cap)
+    low = high // 2
+    while high - low > 1:
+        mid = (low + high) // 2
+        if tail(mid) > _TAIL:
+            low = mid
         else:
-            sums[members[0]], sums[members[1]] = row.real, row.imag
-    # (-1)^n from n = start + 1 on: start is a multiple of width, which is
-    # even whenever there is more than one chunk
-    signs = np.ones(width)
-    signs[::2] = -1.0
-    # n ** s overflows to inf past about 1e308, and 1 / inf is the right 0.0;
-    # n ** 2048 already does so from n = 2, so larger exponents are clamped
-    with np.errstate(over="ignore"):
-        for start in range(0, n_terms, width):
-            length = min(width, n_terms - start)
-            n = np.arange(start + 1, start + length + 1,
-                          dtype=np.int64).astype(np.float64)
-            powers: dict[int, np.ndarray] = {}
-            bases: dict[tuple[int, GroupElement], np.ndarray] = {}
-            for row, members in rows:
-                row[0] = row[width]
-                for node in members:
-                    s, mark, inner = nodes[node]
-                    base = bases.get((s, mark))
-                    if base is None:
-                        if s not in powers:
-                            powers[s] = n ** min(s, 2048)
-                        if mark.den > 2:
-                            phase, den = _phases(mark, start + 1, length)
-                            base = np.exp(2j * np.pi * phase / den) / powers[s]
-                        else:
-                            # -1/x is -(1/x) exactly, so both signs share 1/n^s
-                            base = bases.get((s, ONE))
-                            if base is None:
-                                base = bases[s, ONE] = 1.0 / powers[s]
-                            if mark.den == 2:
-                                base = signs[:length] * base
-                        bases[s, mark] = base
-                    out = sums[node][1:length + 1]
-                    if inner < 0:
-                        out[:] = base
-                    else:
-                        np.multiply(base, sums[inner][:length], out=out)
-                np.cumsum(row[:length + 1], out=row[:length + 1])
-    return [1.0 + 0j if r < 0 else complex(sums[r][length]) for r in roots]
-
-
-def _phases(mark: GroupElement, first: int,
-            length: int) -> tuple[np.ndarray, int | float]:
-    """The exact residues (num * n) % den for n = first, ..., first+length-1,
-    and den: their ratio is the mark's angle in turns.
-
-    The first residue is taken in Python integers; the rest add num * j to
-    it, which stays below den * length, so int64 serves whenever that
-    product fits.  Otherwise they are Python integers, and they and den are
-    divided by one power of two that brings den below 2**1000, as Python
-    integers: that quotient rounds correctly and never overflows, and a
-    power of two scales the ratio exactly (below 2**1000 it is 1).
-    """
-    np = _numpy()
-    num, den = mark.num, mark.den
-    p0 = num * first % den
-    if den * length < 2 ** 63:
-        return (p0 + num * np.arange(length, dtype=np.int64)) % den, den
-    scale = 1 << max(den.bit_length() - 1000, 0)
-    return (np.array([(p0 + num * j) % den / scale for j in range(length)]),
-            den / scale)
+            high = mid
+    return high
 
 
 def lambda_numeric(word: IndexedWord, n_terms: int,
@@ -515,19 +679,21 @@ def lambda_numeric(word: IndexedWord, n_terms: int,
 
 def verify_relation_numeric(rel: Relation, n_terms: int, tol: float,
                             allow_conditional: bool = False) -> VerificationReport:
-    """Evaluate a relation by truncated sums.
+    """Evaluate a relation with the values of :func:`mpl_numeric`.
 
     For product identities the residual is |prod(factors) - combination|;
-    for zero sums it is |combination|.  The pass bound is
-    ``tol + sum |coeff| * tail_estimate`` over the combination words.  The
-    words not yet cached are first summed together in one sweep.
+    for zero sums it is |combination|.  The pass bound is ``tol`` plus a
+    certified bound on the residual of a true relation: the values' error
+    bounds carried through the combination and the product of the factors,
+    and the rounding of that arithmetic.  The words not yet cached are
+    first summed together.
     """
     terms = rel.combination.items()
     factors = () if rel.is_zero_sum else rel.factors
     _prefill([word for word, _ in terms] + list(factors), n_terms,
              allow_conditional)
     total = 0.0 + 0j
-    bound = tol
+    error = mass = 0.0
     for word, c in terms:
         val = mpl_numeric(word, n_terms, allow_conditional)
         try:
@@ -535,13 +701,26 @@ def verify_relation_numeric(rel: Relation, n_terms: int, tol: float,
         except OverflowError:  # the int does not fit a float
             raise ValueError(f"coefficient of {word} is too large to "
                              "sum numerically") from None
-        bound += abs(c) * val.tail_estimate
-    if rel.is_zero_sum:
-        lhs = 0.0 + 0j
-    else:
+        error += abs(c) * val.tail_estimate
+        mass += abs(c) * abs(val.value)
+    # c * value rounds once, twice when c does, and each sum after the first
+    # once
+    rounds = len(terms) + any(abs(c) > 2 ** 53 for _, c in terms)
+    error += _U * rounds * mass
+    lhs = 0.0 + 0j
+    if not rel.is_zero_sum:
         lhs = 1.0 + 0j
+        size = 1.0  # prod |v| over the factors so far
+        spread = 0.0  # prod (|v| + e) - prod |v| over them
         for factor in factors:
-            lhs *= mpl_numeric(factor, n_terms, allow_conditional).value
+            val = mpl_numeric(factor, n_terms, allow_conditional)
+            lhs *= val.value
+            spread = (spread * (abs(val.value) + val.tail_estimate)
+                      + size * val.tail_estimate)
+            size *= abs(val.value)
+        # each product after the first rounds, by up to 2 sqrt 2 units
+        error += spread + _U * 3 * max(len(factors) - 1, 0) * size
     residual = abs(lhs - total)
+    bound = tol + error * _SAFETY
     return VerificationReport(residual=residual, bound=bound,
                               passed=residual <= bound, truncation_n=n_terms)

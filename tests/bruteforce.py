@@ -6,18 +6,14 @@ order-preserving injections with covering images, merging the pairs that
 land on a shared slot.  Both are plain exhaustive enumerations, so they can
 be trusted as ground truth for small words.
 
-``loop_partial_sums`` (and ``loop_mpl``, its last entry) is the definitional
-numeric evaluation: each word on its own, every level a full-length vector
-over n with its own cumulative sum.  The library's chunked suffix-trie sweep
-must reproduce its values exactly.
+``loop_mpl`` is the definitional numeric evaluation: the truncated nested
+sum, term by term, with each mark's power taken from its exact angle.
 """
 
-from functools import lru_cache
+import cmath
 from itertools import combinations
 
-import numpy as np
-
-from doubleshuffle import ONE, GroupElement, IndexedWord, LinComb, ShuffleWord
+from doubleshuffle import ONE, IndexedWord, LinComb, ShuffleWord
 
 
 def brute_shuffle(u: ShuffleWord, v: ShuffleWord) -> LinComb:
@@ -64,44 +60,16 @@ def brute_quasi_shuffle(mu: IndexedWord, nu: IndexedWord) -> LinComb:
     return LinComb(data)
 
 
-@lru_cache(maxsize=None)
-def mark_powers(mark: GroupElement, n_terms: int) -> np.ndarray:
-    """The vector (z^1, ..., z^N) for z = exp(2 pi i num/den); shared
-    between calls, so callers must not write to it."""
-    if mark.den == 1:
-        return np.ones(n_terms, dtype=np.complex128)
-    n = np.arange(1, n_terms + 1, dtype=np.int64)
-    if mark.den == 2:
-        return np.where(n % 2 == 0, 1.0, -1.0).astype(np.complex128)
-    angles = np.array([mark.num * m % mark.den for m in range(1, n_terms + 1)],
-                      dtype=np.float64)  # exact residues, in Python integers
-    return np.exp(2j * np.pi * angles / mark.den)
-
-
 def loop_mpl(word: IndexedWord, n_terms: int) -> complex:
-    """The truncated nested sum of a nonempty word at N = ``n_terms``."""
-    return complex(loop_partial_sums(word, n_terms)[-1])
+    """The nested sum of a nonempty word over N >= n1 > ... > nk >= 1,
+    N = ``n_terms``.
 
-
-def loop_partial_sums(word: IndexedWord, n_terms: int) -> np.ndarray:
-    """The truncated nested sums of a nonempty word at every N <= n_terms,
-    one word at a time.
-
-    Each level is a full-length vector over n = 1..N: the innermost pair's
-    terms z^n / n^s, then, going outward, the base times the inner
-    cumulative sum shifted by one, summed by its own ``cumsum``.  Entry
-    N - 1 of the outermost sum is the value truncated at N.
+    ``sums[i]`` holds the sum of the suffix from letter i over indices
+    below the current n, so the outer letters are updated first.
     """
-    n = np.arange(1, n_terms + 1, dtype=np.float64)
-    acc = None
-    for s, mark in reversed(word):
-        base = mark_powers(mark, n_terms) / n ** s
-        if acc is None:
-            term = base
-        else:
-            shifted = np.empty_like(acc)
-            shifted[0] = 0
-            shifted[1:] = acc[:-1]
-            term = base * shifted
-        acc = np.cumsum(term)
-    return acc
+    sums = [0j] * word.depth + [1.0]
+    for n in range(1, n_terms + 1):
+        for i, (s, mark) in enumerate(word):
+            turn = mark.num * n % mark.den / mark.den  # exact residue
+            sums[i] += cmath.exp(2j * cmath.pi * turn) / n ** s * sums[i + 1]
+    return sums[0]

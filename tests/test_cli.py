@@ -566,9 +566,55 @@ class TestCommandLine:
                                 "json", stdin=line)
             assert proc.stderr == ""
             assert proc.returncode == 1
-            assert json.loads(proc.stdout) == {
-                "label": "double-shuffle[]", "passed": False, "residual": 1.0,
-                "bound": 0.001}
+            got = json.loads(proc.stdout)
+            bound = got.pop("bound")
+            assert got == {"label": "double-shuffle[]", "passed": False,
+                           "residual": 1.0}
+            # the tolerance plus the rounding of zeta(s) = 1.0
+            assert 0.001 <= bound <= 0.001 + 1e-15
+
+    def test_verify_proves_zeta_21_at_zero_tolerance(self, capsys, tmp_path):
+        """zeta(2,1) = zeta(3) with 1000 terms and no tolerance: each value's
+        bound covers its error, so a true relation passes."""
+        rel = Relation("double-shuffle", (),
+                       LinComb([(zw(2, 1), 1), (zw(3), -1)]))
+        stream = tmp_path / "zeta21.jsonl"
+        stream.write_text(json.dumps(relation_to_json(rel)) + "\n")
+        code, out, _ = self.run(capsys, "verify", "--terms", "1000",
+                                "--tol", "0", "--input", str(stream))
+        assert code == 0, out
+        assert out.splitlines()[-1] == "1/1 relations verified"
+
+    def test_verify_passes_the_sign_stream_at_zero_tolerance(self, capsys,
+                                                             tmp_path):
+        code, out, _ = self.run(capsys, "relations", "--weight", "6",
+                                "--depth", "3", "--group", "sign",
+                                "--hoffman", "--format", "json")
+        stream = tmp_path / "sign.jsonl"
+        stream.write_text(out)
+        code, out, _ = self.run(capsys, "verify", "--terms", "100000",
+                                "--tol", "0", "--input", str(stream))
+        assert code == 0, out
+        assert out.splitlines()[-1] == "45/45 relations verified, 30 skipped"
+
+    @pytest.mark.parametrize("weight, lines, digest", [
+        (6, 75, None), (8, 159, "54eaa9e5")])
+    def test_verify_sums_conditional_words_when_allowed(
+            self, capsys, tmp_path, weight, lines, digest):
+        """Every line of the sign streams passes at --tol 1e-12, the lines
+        with conditionally convergent words too; the weight-8 stream is the
+        benchmark's verify input."""
+        code, out, _ = self.run(capsys, "relations", "--weight", str(weight),
+                                "--depth", "3", "--group", "sign",
+                                "--hoffman", "--format", "json")
+        assert hashlib.sha256(out.encode()).hexdigest().startswith(
+            digest or "")
+        stream = tmp_path / "sign.jsonl"
+        stream.write_text(out)
+        code, out, _ = self.run(capsys, "verify", "--allow-conditional",
+                                "--tol", "1e-12", "--input", str(stream))
+        assert code == 0, out
+        assert out.splitlines()[-1] == f"{lines}/{lines} relations verified"
 
     def test_module_entry_point(self, capsys):
         proc = fresh_python("-m", "doubleshuffle", "euler", "2", "3")
@@ -639,7 +685,7 @@ NUMERIC_NAMES = ["lambda_numeric", "mpl_numeric", "verify_relation_numeric"]
 
 
 class TestStartWithoutNumpy:
-    """Only nested sums need numpy; the exact algebra starts without it."""
+    """No command needs numpy, nor loads it."""
 
     def test_importing_the_package_and_cli_leaves_numpy_out(self):
         proc = fresh_python("-c", "import sys, doubleshuffle, doubleshuffle.cli; "
@@ -664,27 +710,27 @@ class TestStartWithoutNumpy:
         assert proc.stderr == ""
         assert out and proc.stdout == out
 
-    def test_verify_needs_numpy(self):
-        """The block above is real: the one command that sums fails under it,
-        with one ``error:`` line and exit 2, not 1 ("a relation failed")."""
-        line = '{"terms": [{"coeff": "1", "s": [2], "m": ["0/1"]}]}\n'
-        proc = fresh_python("-c", NO_NUMPY_MAIN, "verify", "--terms", "10",
+    def test_verify_succeeds_with_numpy_blocked(self):
+        """The block above is real, and the one command that sums runs
+        under it."""
+        line = ('{"terms": [{"coeff": "1", "s": [2, 1], "m": ["0/1", "0/1"]}, '
+                '{"coeff": "-1", "s": [3], "m": ["0/1"]}]}\n')
+        proc = fresh_python("-c", NO_NUMPY_MAIN, "verify", "--tol", "0",
                             stdin=line)
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert len(proc.stderr.splitlines()) == 1
-        assert proc.stderr.startswith("error: ") and "numpy" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines()[-1] == "1/1 relations verified"
 
     @pytest.mark.parametrize("name", NUMERIC_NAMES)
-    def test_a_numeric_name_loads_numpy_and_is_the_values_function(self, name):
+    def test_numeric_name_without_numpy(self, name):
         proc = fresh_python("-c", "\n".join([
             "import sys",
             "from doubleshuffle import values",
-            "assert 'numpy' not in sys.modules",
             f"from doubleshuffle import {name}",
-            "assert 'numpy' in sys.modules",
             f"assert {name} is values.{name}",
+            "values.verify_relation_numeric(values.euler_relation(2, 3), "
+            "1000, 0.0)",
+            "assert 'numpy' not in sys.modules",
         ]))
         assert proc.returncode == 0, proc.stderr
 

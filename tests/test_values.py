@@ -1,12 +1,10 @@
-"""Relation generators and truncated-sum verification."""
+"""Relation generators, numeric values and their verification."""
 
 import math
 import sys
 import threading
 import tracemalloc
-import warnings
 
-import numpy as np
 import pytest
 
 from doubleshuffle import (MINUS_ONE, ONE, DomainError, GroupElement,
@@ -16,9 +14,10 @@ from doubleshuffle import (MINUS_ONE, ONE, DomainError, GroupElement,
                            hoffman_difference, lambda_numeric, mpl_numeric,
                            quasi_shuffle, theta, values,
                            verify_relation_numeric, worked_examples)
-from doubleshuffle.values import CHUNK, admissible_words, relation_stream
+from doubleshuffle.maps import theta_inv_marks
+from doubleshuffle.values import admissible_words, relation_stream
 
-from bruteforce import loop_mpl, loop_partial_sums
+from bruteforce import loop_mpl
 from helpers import mw, zw
 
 N = 100_000
@@ -170,9 +169,8 @@ class TestWorkedExamples:
 class TestNumeric:
     def test_zeta_two(self):
         got = mpl_numeric(zw(2), N)
-        assert abs(got.value.real - math.pi ** 2 / 6) < 1.1e-5
+        assert abs(got.value - math.pi ** 2 / 6) <= got.tail_estimate <= 1e-13
         assert abs(got.value.imag) == 0.0
-        assert got.tail_estimate == pytest.approx(1 / N)
 
     def test_alternating_depth_one(self):
         got = mpl_numeric(IndexedWord(((2, MINUS_ONE),)), N)
@@ -184,10 +182,17 @@ class TestNumeric:
         assert got.tail_estimate == 0.0
 
     def test_monotone_in_truncation(self):
-        for word in (zw(2), zw(2, 1), zw(3, 1, 1)):
-            values = [mpl_numeric(word, n).value.real
-                      for n in (10, 100, 1000, 5000)]
-            assert all(a <= b for a, b in zip(values, values[1:]))
+        """A larger cap on the terms never loosens the bound, and every
+        bound covers the true error."""
+        zeta3 = 1.2020569031595942
+        for word, want in ((zw(2), math.pi ** 2 / 6), (zw(2, 1), zeta3),
+                           (zw(3, 1, 1), None)):
+            got = [mpl_numeric(word, n) for n in (10, 100, 1000, 5000)]
+            bounds = [v.tail_estimate for v in got]
+            assert all(a >= b for a, b in zip(bounds, bounds[1:])), bounds
+            for v in got:
+                assert abs(v.value - (want or got[-1].value)) <= \
+                    v.tail_estimate + bounds[-1]
 
     def test_rejects_inadmissible(self):
         with pytest.raises(DomainError):
@@ -198,21 +203,28 @@ class TestNumeric:
         with pytest.raises(DomainError):
             mpl_numeric(word, 10_000)
         got = mpl_numeric(word, 10_000, allow_conditional=True)
-        assert abs(got.value.real + math.log(2)) < 1e-3
-        assert got.tail_estimate == 0.0
+        assert abs(got.value + math.log(2)) <= got.tail_estimate <= 1e-13
+        # its own series has no tail bound, so the split must fit the cap
+        with pytest.raises(DomainError, match="too slowly"):
+            mpl_numeric(word, 10, allow_conditional=True)
 
     def test_exponent_past_float_range_sums_to_one(self):
-        """n ** s is inf for every n >= 2 long before s = 10**400, so the
-        sum is its n = 1 term, and the tail estimate is all but 0."""
+        """The value is 1 to within 2**-(10**400), and the word's own series
+        reaches it in one term, with only rounding in the bound."""
         for n_terms in (1, 1000):
             got = values._evaluate(zw(10 ** 400), n_terms, False)
             assert got.value == 1.0
-            assert 0.0 <= got.tail_estimate < 1e-300
+            assert got.truncation_n == 1
+            assert abs(got.value - 1.0) <= got.tail_estimate < 1e-15
 
     @pytest.mark.parametrize("num", (1, 10 ** 400 - 1), ids=("one", "den-1"))
     def test_denominator_past_float_range_is_near_the_identity(self, num):
+        """The mark is within 1e-399 of 1, so the value is zeta(2) to double
+        precision.  The split would need far more than 1000 terms, so the
+        word's own series is summed to 1000, with a tail of about 1/1000."""
         got = mpl_numeric(mw((2,), (GroupElement(num, 10 ** 400),)), 1000)
-        assert abs(got.value - mpl_numeric(zw(2), 1000).value) < 1e-12
+        assert got.truncation_n == 1000
+        assert abs(got.value - math.pi ** 2 / 6) <= got.tail_estimate < 1.1e-3
 
     def test_lambda_trivial_group(self):
         assert lambda_numeric(zw(2, 1), 1000) == mpl_numeric(zw(2, 1), 1000)
@@ -226,83 +238,26 @@ class TestNumeric:
         assert abs(via_transform.value - direct) < 1e-8
         assert lambda_numeric(IndexedWord(), 10).value == 1.0
 
-
-ORACLE_WORDS = [w for order in (1, 2, 3) for k in range(1, 7)
-                for w in admissible_words(k, k, order)]
-ORACLE_N = (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5)
-
-
-@pytest.fixture(scope="module")
-def oracle_values():
-    """N -> the per-word loop's value of every oracle word truncated at N,
-    read off one loop over n <= max(ORACLE_N) per word."""
-    at = [n - 1 for n in ORACLE_N]
-    table = [loop_partial_sums(w, max(ORACLE_N))[at] for w in ORACLE_WORDS]
-    return {n: [complex(row[i]) for row in table]
-            for i, n in enumerate(ORACLE_N)}
-
-
-# Words whose marks are all +-1 give real nodes: an odd number of length 1,
-# and some of lengths 2 and 3.
-PAIRED_WORDS = [zw(2), zw(3, 1), mw((2,), (MINUS_ONE,)),
-                mw((2, 1), (MINUS_ONE, ONE)), zw(2, 1, 1),
-                mw((3, 2, 1), (ONE, MINUS_ONE, ONE))]
-# Marks of order 3 over real inner nodes, and a sign over a root:3 node.
-ROOT_OVER_PAIRED = [mw((2, 1), (GroupElement(1, 3), ONE)),
-                    mw((2, 2, 1), (GroupElement(2, 3), MINUS_ONE, ONE)),
-                    mw((2, 1), (MINUS_ONE, GroupElement(1, 3)))]
-
-
-class TestSweep:
-    """The chunked suffix-trie sweep against the per-word loop, exactly."""
-
-    @pytest.mark.parametrize("n_terms", ORACLE_N)
-    def test_matches_per_word_loop(self, n_terms, oracle_values):
-        assert values._sweep(ORACLE_WORDS, n_terms) == oracle_values[n_terms]
-
-    def test_shared_suffixes_in_one_call_then_cached(self, monkeypatch):
+    def test_memory_bounded_in_truncation(self):
+        """Also for a mark too close to 1 to split, whose own series takes
+        all its terms, a block at a time."""
         third = GroupElement(1, 3)
-        words = [zw(2, 1, 1), zw(3, 1, 1), mw((1, 1), (MINUS_ONE, ONE)),
-                 zw(2, 1, 1), mw((2, 1, 1), (third, ONE, ONE)),
-                 mw((1, 2, 1), (MINUS_ONE, third, ONE)),
-                 mw((3, 2, 1), (third, third, ONE)), IndexedWord(), zw(4)]
-        n_terms = 2 * CHUNK + 3
-        monkeypatch.setattr(values, "_cache", {})
-        sweeps = []
-        real_sweep = values._sweep
-        monkeypatch.setattr(values, "_sweep",
-                            lambda ws, n: sweeps.append(ws) or real_sweep(ws, n))
-        values._prefill(words, n_terms, allow_conditional=True)
-        assert len(sweeps) == 1 and len(values._cache) == len(set(words))
-        got = [mpl_numeric(w, n_terms, True) for w in words]
-        assert [v.value for v in got] == [
-            loop_mpl(w, n_terms) if w.depth else 1.0 for w in words]
-        assert len(sweeps) == 1, "a cached value was summed again"
-        values._prefill(words, n_terms, True)
-        assert len(sweeps) == 1
+        for word, n_terms in (
+                (mw((3, 1, 2, 1), (third, ONE, third * third, third)), 10 ** 6),
+                (mw((2,), (GroupElement(1, 10 ** 400),)), 10 ** 5)):
+            tracemalloc.start()
+            try:
+                got = values._evaluate(word, n_terms, False)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2 ** 20
+            assert got.tail_estimate < 1.1 / n_terms
 
-    @pytest.mark.parametrize("n_terms", (CHUNK - 1, CHUNK + 1, 3 * CHUNK + 5))
-    @pytest.mark.parametrize("words", [PAIRED_WORDS, PAIRED_WORDS + ROOT_OVER_PAIRED],
-                             ids=["real", "root-3-over-real"])
-    def test_paired_real_nodes_match_per_word_loop(self, words, n_terms):
-        real = {w[i:] for w in words for i in range(w.depth)
-                if all(m.den <= 2 for m in w.marks[i:])}
-        per_length = [sum(len(u) == d for u in real) for d in (1, 2, 3)]
-        assert per_length[0] % 2 and all(per_length), per_length
-        got = values._sweep(words, n_terms)
-        assert got == [loop_mpl(w, n_terms) for w in words]
-        assert all(v.imag == 0.0 for w, v in zip(words, got)
-                   if all(m.den <= 2 for m in w.marks))
 
-    @pytest.mark.parametrize("k", (1, 2, 5))
-    def test_real_nodes_of_one_length_share_rows(self, k, monkeypatch):
-        words = [mw((s,), (mark,)) for s in (2, 3, 4) for mark in (ONE, MINUS_ONE)]
-        calls = []
-        cumsum = np.cumsum
-        monkeypatch.setattr(np, "cumsum",
-                            lambda *a, **kw: calls.append(1) or cumsum(*a, **kw))
-        values._sweep(words[:k], 2 * CHUNK + 1)  # three chunks
-        assert len(calls) == 3 * -(-k // 2)
+class TestValueCache:
+    """The value cache: its use order, its sharing between threads, and the
+    fill ahead of a relation's calls."""
 
     def test_cache_keeps_the_most_recently_used(self, monkeypatch):
         monkeypatch.setattr(values, "_cache", {})
@@ -365,50 +320,153 @@ class TestSweep:
         assert after == before
         assert all(a is b for a, b in zip(after, before))
 
-    @pytest.mark.parametrize("num, den", [(999_999_999_989, 10 ** 12),
-                                          (10 ** 29 + 7, 10 ** 30)])
-    def test_large_denominator_phases_are_exact(self, num, den):
-        # num * n overflows int64 at den = 10**30; the oracle's residues
-        # are Python integers
-        mark = GroupElement(num, den)
-        word = mw((2, 1, 3), (mark, GroupElement(1, 3), mark))
-        n_terms = 2 * CHUNK + 3
-        assert values._sweep([word], n_terms) == [loop_mpl(word, n_terms)]
 
-    def test_overflowing_powers_warn_nothing_and_sum_as_before(self):
-        """n ** s is inf past about 1e308 (from n = 7,100 at s = 80, from
-        n = 35 at s = 200); its reciprocal 0.0 is the right double, so the
-        sweep takes it quietly."""
-        words = [zw(80), mw((80,), (MINUS_ONE,)),
-                 mw((200, 80), (GroupElement(1, 3), ONE))]
-        n_terms = 2 * CHUNK + 3
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = values._sweep(words, n_terms)
-        with np.errstate(over="ignore"):
-            assert got == [loop_mpl(w, n_terms) for w in words]
+def mp_value(word, mp, y):
+    """(-1)^k I(1; a) at the precision of ``mp``, apart from the library:
+    split at y, each piece summed from its power series, built letter by
+    letter from the inside, to enough terms that its tail is below 1e-20."""
+    a = []
+    for (s, _), b in zip(word, theta_inv_marks(word.marks)):
+        a += [0] * (s - 1) + [mp.mpf(1 - 2 * b.num) if b.den <= 2 else
+                              mp.expjpi(2 * mp.mpf(b.num) / b.den)]
+    upper = [(1 - c) / (1 - y) for c in a]  # U_j: the first j, reversed
+    lower = [c / y for c in reversed(a)]    # L_j: the last n - j, reversed
+    ratio = max(abs(1 / c) for c in upper + lower if c != 0)
+    terms = int(60 / -mp.log(ratio)) + 6 * len(a)
 
-    def test_large_denominator_memory_stays_small(self):
-        word = mw((2,), (GroupElement(1, 10 ** 7),))
-        tracemalloc.start()
-        try:
-            value = values._sweep([word], 10)[0]
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2 ** 20
-        assert value == loop_mpl(word, 10)
+    def pieces(letters):
+        """I(1; piece) for the empty piece and after each letter added
+        outside, the innermost letter first."""
+        f = [mp.mpf(1)] + [0] * terms
+        out = [mp.mpf(1)]
+        for c in letters:
+            if c == 0:
+                f = [0] + [f[m] / m for m in range(1, terms + 1)]
+            else:
+                g, new = 0, [0]
+                for m in range(terms):
+                    g = (f[m] + g) / c
+                    new.append(-g / (m + 1))
+                f = new
+            out.append(mp.fsum(f))
+        return out
 
-    def test_memory_bounded_in_truncation(self):
+    us, ls = pieces(upper), pieces(lower)[::-1]
+    value = mp.fsum((-1) ** j * u * low for j, (u, low) in enumerate(zip(us, ls)))
+    return complex((-1) ** word.depth * value)
+
+
+ZETA3 = 1.2020569031595942
+CLOSED_FORMS = [
+    (zw(3), ZETA3),
+    (zw(2, 1), ZETA3),
+    (zw(3, 1), math.pi ** 4 / 360),
+    (zw(2, 2), math.pi ** 4 / 120),
+    (zw(2, 2, 2), math.pi ** 6 / math.factorial(7)),
+    (mw((1,), (MINUS_ONE,)), -math.log(2)),
+    (mw((2,), (MINUS_ONE,)), -math.pi ** 2 / 12),
+    (mw((1, 1), (MINUS_ONE, MINUS_ONE)),
+     (math.log(2) ** 2 - math.pi ** 2 / 6) / 2),
+]
+# Words of weight <= 6 over root:1..4 and <= 3 over root:13, with a second
+# split point: any y' in (1 - d, 1), d the least |1 - b| of the letters.
+SPLIT_WORDS = [(order, weight, y) for order, top, y in
+               ((1, 6, 0.75), (2, 6, 0.75), (3, 6, 0.75), (4, 6, 0.75),
+                (13, 3, 0.88))
+               for weight in range(1, top + 1)]
+
+
+class TestEvaluator:
+    """Values and bounds of the Hölder convolution."""
+
+    @pytest.mark.parametrize("word, want", CLOSED_FORMS,
+                             ids=[str(w) for w, _ in CLOSED_FORMS])
+    def test_closed_forms(self, word, want):
+        got = mpl_numeric(word, N, allow_conditional=True)
+        assert abs(got.value - want) <= got.tail_estimate <= 1e-13
+        assert got.truncation_n < 100
+
+    def test_against_mpmath(self):
+        mp = pytest.importorskip("mpmath").mp
         third = GroupElement(1, 3)
-        word = mw((3, 1, 2, 1), (third, ONE, third * third, third))
-        tracemalloc.start()
+
+        def lerch(n):  # sum_{i >= 0} (-1)^i / (n + i)
+            return (mp.digamma((n + 1) / mp.mpf(2))
+                    - mp.digamma(n / mp.mpf(2))) / 2
+
+        with mp.workdps(30):
+            # Li_{2,1}(z, -1) = sum_n z^n / n^2 sum_{j<n} (-1)^j / j, summed
+            # over each residue of n mod 6, where z^n and (-1)^n are constant
+            z = mp.expjpi(mp.mpf(2) / 3)
+            li21 = sum(z ** r * mp.nsum(
+                lambda q, r=r: (-mp.log(2) - (-1) ** r * lerch(6 * q + r))
+                / (6 * q + r) ** 2, [0, mp.inf]) for r in range(1, 7))
+            cases = [(mw((2,), (GroupElement(1, 4),)), mp.polylog(2, 1j)),
+                     (mw((3,), (GroupElement(1, 6),)),
+                      mp.polylog(3, mp.expjpi(mp.mpf(1) / 3))),
+                     (mw((2, 1), (third, MINUS_ONE)), li21)]
+            for word, want in cases:
+                got = mpl_numeric(word, N)
+                assert abs(got.value - complex(want)) <= \
+                    got.tail_estimate <= 1e-13
+
+    @pytest.mark.parametrize("order, weight, y", SPLIT_WORDS)
+    def test_two_split_points_agree(self, order, weight, y):
+        for word in admissible_words(weight, weight, order):
+            got = values._sum(word, N)
+            other, error = values._convolve(
+                *values._split(values._parts(word), y, N))
+            other *= (-1) ** word.depth
+            assert abs(got.value - other) <= got.tail_estimate + error, word
+
+    def test_bounds_cover_the_true_error(self):
+        """Against a 30-digit evaluation split at a third point: all words
+        of weight <= 3 over root:1..4, and every 200th of the others above."""
+        mp = pytest.importorskip("mpmath").mp
+        cases = []
+        for order, weight, _ in SPLIT_WORDS:
+            words = admissible_words(weight, weight, order)
+            cases += words if order <= 4 and weight <= 3 else words[::200]
+        with mp.workdps(30):
+            for word in cases:
+                y = mp.mpf(0.8) if any(m.den == 13 for m in word.marks) \
+                    else mp.mpf(0.625)
+                got = values._sum(word, N)
+                assert abs(got.value - mp_value(word, mp, y)) <= \
+                    got.tail_estimate, word
+
+    def test_own_series_is_the_truncated_sum(self):
+        """With too few terms for the split, a word is its own series
+        truncated at the cap, as summed from the definition."""
+        third = GroupElement(1, 3)
+        for word in (zw(2, 1), mw((2, 1), (third, ONE)),
+                     mw((3, 2), (MINUS_ONE, GroupElement(1, 4)))):
+            got = mpl_numeric(word, 20)
+            assert got.truncation_n == 20
+            assert abs(got.value - loop_mpl(word, 20)) < 1e-14
+
+    def test_threads_sum_identical_values(self):
+        """Four threads evaluating at once, switching as often as the
+        interpreter allows, get the values one thread gets."""
+        words = admissible_words(5, 3, 3)[::7]
+        want = [values._evaluate(w, N, True) for w in words]
+        got = [None] * 4
+
+        def run(i):
+            got[i] = [values._evaluate(w, N, True) for w in words]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            values._sweep([word], 10 ** 6)
-            _, peak = tracemalloc.get_traced_memory()
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
         finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2 ** 20
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * 4
 
 
 class TestVerification:
