@@ -460,7 +460,7 @@ def _plan(parts: list[tuple[int, GroupElement]], n_terms: int):
     split = _split(parts, y, n_terms) if y < 1 else None
     if parts[0][0] == 1:
         return split
-    own = [(_lower(b, 1.0), s - 1) for s, b in reversed(parts)]
+    own = _own_steps(parts)
     cap = n_terms
     if split is not None:  # the split's term-letter steps, per own step
         steps = sum(terms * len(chain) for chain, terms, _ in split)
@@ -470,6 +470,12 @@ def _plan(parts: list[tuple[int, GroupElement]], n_terms: int):
     if split is None or own_terms is not None:
         return [(own, own_terms or n_terms, 1.0)]
     return split
+
+
+def _own_steps(parts: list[tuple[int, GroupElement]]) -> list[tuple]:
+    """The steps of :func:`_series` for the word's own series, y = 1: each
+    letter b_j, then the s_j - 1 zeros before it, innermost first."""
+    return [(_lower(b, 1.0), s - 1) for s, b in reversed(parts)]
 
 
 def _split(parts: list[tuple[int, GroupElement]], y: float, n_terms: int):

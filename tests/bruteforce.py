@@ -7,7 +7,8 @@ land on a shared slot.  Both are plain exhaustive enumerations, so they can
 be trusted as ground truth for small words.
 
 ``loop_mpl`` is the definitional numeric evaluation: the truncated nested
-sum, term by term, with each mark's power taken from its exact angle.
+sum, term by term, with each mark's power taken from its exact angle;
+``loop_partial_sums`` reads it off at several truncations.
 """
 
 import cmath
@@ -62,14 +63,25 @@ def brute_quasi_shuffle(mu: IndexedWord, nu: IndexedWord) -> LinComb:
 
 def loop_mpl(word: IndexedWord, n_terms: int) -> complex:
     """The nested sum of a nonempty word over N >= n1 > ... > nk >= 1,
-    N = ``n_terms``.
+    N = ``n_terms``."""
+    return loop_partial_sums(word, [n_terms])[0]
+
+
+def loop_partial_sums(word: IndexedWord, stops) -> list[complex]:
+    """:func:`loop_mpl` at each N in ``stops``, ascending, read off one loop.
 
     ``sums[i]`` holds the sum of the suffix from letter i over indices
-    below the current n, so the outer letters are updated first.
+    below the current n, so the outer letters are updated first.  A power
+    n ** -s too small for a double is 0.0, its correct rounding.
     """
     sums = [0j] * word.depth + [1.0]
-    for n in range(1, n_terms + 1):
-        for i, (s, mark) in enumerate(word):
-            turn = mark.num * n % mark.den / mark.den  # exact residue
-            sums[i] += cmath.exp(2j * cmath.pi * turn) / n ** s * sums[i + 1]
-    return sums[0]
+    out = []
+    n = 0
+    for stop in stops:
+        for n in range(n + 1, stop + 1):
+            for i, (s, mark) in enumerate(word):
+                turn = mark.num * n % mark.den / mark.den  # exact residue
+                sums[i] += cmath.exp(2j * cmath.pi * turn) * n ** -s * sums[i + 1]
+        n = stop
+        out.append(sums[0])
+    return out

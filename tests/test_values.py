@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -17,7 +18,7 @@ from doubleshuffle import (MINUS_ONE, ONE, DomainError, GroupElement,
 from doubleshuffle.maps import theta_inv_marks
 from doubleshuffle.values import admissible_words, relation_stream
 
-from bruteforce import loop_mpl
+from bruteforce import loop_mpl, loop_partial_sums
 from helpers import mw, zw
 
 N = 100_000
@@ -238,26 +239,90 @@ class TestNumeric:
         assert abs(via_transform.value - direct) < 1e-8
         assert lambda_numeric(IndexedWord(), 10).value == 1.0
 
-    def test_memory_bounded_in_truncation(self):
-        """Also for a mark too close to 1 to split, whose own series takes
-        all its terms, a block at a time."""
+
+def own_series(word, n_terms):
+    """The word's own series truncated at ``n_terms``, as the library's
+    series kernel sums it from the reduced angles of the marks."""
+    steps = values._own_steps(values._parts(word))
+    return (-1) ** word.depth * values._series(steps, n_terms)[-1]
+
+
+# Truncations at, and on either side of, the kernel's block boundaries.
+B = values._BLOCK
+ORACLE_N = (1, 2 * B - 1, 2 * B, 2 * B + 1, 6 * B + 5)
+ORACLE_WORDS = [w for order in (2, 3) for k in range(1, 4)
+                for w in admissible_words(k, k, order)
+                if order == 3 or w.marks.count(MINUS_ONE)]
+
+
+@pytest.fixture(scope="module")
+def oracle_values():
+    """N -> the per-word loop's value of every oracle word truncated at N,
+    read off one loop over n <= max(ORACLE_N) per word."""
+    table = [loop_partial_sums(w, ORACLE_N) for w in ORACLE_WORDS]
+    return {n: [row[i] for row in table] for i, n in enumerate(ORACLE_N)}
+
+
+# Words whose marks are all +-1 give real letters: an odd number of
+# suffixes of length 1, and some of lengths 2 and 3.
+PAIRED_WORDS = [zw(2), zw(3, 1), mw((2,), (MINUS_ONE,)),
+                mw((2, 1), (MINUS_ONE, ONE)), zw(2, 1, 1),
+                mw((3, 2, 1), (ONE, MINUS_ONE, ONE))]
+# Marks of order 3 over real inner letters, and a sign over a root:3 one.
+ROOT_OVER_PAIRED = [mw((2, 1), (GroupElement(1, 3), ONE)),
+                    mw((2, 2, 1), (GroupElement(2, 3), MINUS_ONE, ONE)),
+                    mw((2, 1), (MINUS_ONE, GroupElement(1, 3)))]
+
+
+class TestSweep:
+    """The sweep of a relation's words into the value cache, the cache's use
+    order and its sharing between threads, and the word's own series, summed
+    a block of terms at a time, against the per-word loop."""
+
+    @pytest.mark.parametrize("n_terms", ORACLE_N)
+    def test_matches_per_word_loop(self, n_terms, oracle_values):
+        for word, want in zip(ORACLE_WORDS, oracle_values[n_terms]):
+            assert abs(own_series(word, n_terms) - want) <= 1e-13, word
+
+    def test_shared_suffixes_in_one_call_then_cached(self, monkeypatch):
         third = GroupElement(1, 3)
-        for word, n_terms in (
-                (mw((3, 1, 2, 1), (third, ONE, third * third, third)), 10 ** 6),
-                (mw((2,), (GroupElement(1, 10 ** 400),)), 10 ** 5)):
-            tracemalloc.start()
-            try:
-                got = values._evaluate(word, n_terms, False)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < 16 * 2 ** 20
-            assert got.tail_estimate < 1.1 / n_terms
+        words = [zw(2, 1, 1), zw(3, 1, 1), mw((1, 1), (MINUS_ONE, ONE)),
+                 zw(2, 1, 1), mw((2, 1, 1), (third, ONE, ONE)),
+                 mw((1, 2, 1), (MINUS_ONE, third, ONE)),
+                 mw((3, 2, 1), (third, third, ONE)), IndexedWord(), zw(4)]
+        n_terms = 2 * B + 3
+        want = [values._evaluate(w, n_terms, True) for w in words]
+        monkeypatch.setattr(values, "_cache", {})
+        fills, sums = [], []
+        real_fill, real_sum = values._fill, values._sum
+        monkeypatch.setattr(values, "_fill", lambda ws, n, allow:
+                            fills.append(ws) or real_fill(ws, n, allow))
+        monkeypatch.setattr(values, "_sum", lambda w, n:
+                            sums.append(w) or real_sum(w, n))
+        values._prefill(words, n_terms, allow_conditional=True)
+        assert len(fills) == 1 and len(values._cache) == len(set(words))
+        assert len(sums) == len(set(sums)) == len(set(words))
+        got = [mpl_numeric(w, n_terms, True) for w in words]
+        assert got == want
+        assert len(fills) == 1, "a cached value was summed again"
+        values._prefill(words, n_terms, True)
+        assert len(fills) == 1 and len(sums) == len(set(words))
 
-
-class TestValueCache:
-    """The value cache: its use order, its sharing between threads, and the
-    fill ahead of a relation's calls."""
+    @pytest.mark.parametrize("n_terms", (2 * B - 1, 2 * B + 1, 6 * B + 5))
+    @pytest.mark.parametrize("words", [PAIRED_WORDS, PAIRED_WORDS + ROOT_OVER_PAIRED],
+                             ids=["real", "root-3-over-real"])
+    def test_paired_real_nodes_match_per_word_loop(self, words, n_terms):
+        real = {w[i:] for w in words for i in range(w.depth)
+                if all(m.den <= 2 for m in w.marks[i:])}
+        per_length = [sum(len(u) == d for u in real) for d in (1, 2, 3)]
+        assert per_length[0] % 2 and all(per_length), per_length
+        got = [own_series(w, n_terms) for w in words]
+        for word, value in zip(words, got):
+            assert abs(value - loop_mpl(word, n_terms)) <= 1e-13, word
+        for word, value in zip(words, got):
+            if all(m.den <= 2 for m in word.marks):
+                assert isinstance(value, float), word
+                assert mpl_numeric(word, n_terms).value.imag == 0.0, word
 
     def test_cache_keeps_the_most_recently_used(self, monkeypatch):
         monkeypatch.setattr(values, "_cache", {})
@@ -319,6 +384,62 @@ class TestValueCache:
         after = list(values._cache)
         assert after == before
         assert all(a is b for a, b in zip(after, before))
+
+    def test_memory_bounded_in_truncation(self):
+        """Also for a mark too close to 1 to split, whose own series takes
+        all its terms, a block at a time."""
+        third = GroupElement(1, 3)
+        for word, n_terms in (
+                (mw((3, 1, 2, 1), (third, ONE, third * third, third)), 10 ** 6),
+                (mw((2,), (GroupElement(1, 10 ** 400),)), 10 ** 5)):
+            tracemalloc.start()
+            try:
+                got = values._evaluate(word, n_terms, False)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2 ** 20
+            assert got.tail_estimate < 1.1 / n_terms
+
+    @pytest.mark.parametrize("num, den", [(999_999_999_989, 10 ** 12),
+                                          (10 ** 29 + 7, 10 ** 30)])
+    def test_large_denominator_phases_are_exact(self, num, den):
+        # num * n overflows int64 at den = 10**30; the oracle's residues
+        # are Python integers, the library's angle is reduced exactly
+        mark = GroupElement(num, den)
+        word = mw((2, 1, 3), (mark, GroupElement(1, 3), mark))
+        n_terms = 2 * B + 3
+        assert abs(own_series(word, n_terms) - loop_mpl(word, n_terms)) <= 1e-13
+
+    def test_overflowing_powers_warn_nothing_and_sum_as_before(self):
+        """n ** s is past the largest double from n = 7,100 at s = 80, and
+        from n = 35 at s = 200; its reciprocal 0.0 is the right double, so
+        the series takes it quietly, and the values are the nearest ones."""
+        words = [zw(80), mw((80,), (MINUS_ONE,)),
+                 mw((200, 80), (GroupElement(1, 3), ONE))]
+        n_terms = 2 * B + 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [own_series(w, n_terms) for w in words]
+            vals = [mpl_numeric(w, n_terms) for w in words]
+        for word, value in zip(words, got):
+            assert abs(value - loop_mpl(word, n_terms)) <= 1e-15, word
+        for val, want in zip(vals, (1.0, -1.0, 0.0)):
+            assert abs(val.value - want) <= val.tail_estimate < 1e-14
+
+    def test_large_denominator_memory_stays_small(self):
+        """A mark of order 10**7: its split would need far more than 10
+        terms, so the word's own series is summed to 10."""
+        word = mw((2,), (GroupElement(1, 10 ** 7),))
+        tracemalloc.start()
+        try:
+            got = mpl_numeric(word, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert got.truncation_n == 10
+        assert abs(got.value - loop_mpl(word, 10)) <= 1e-15
 
 
 def mp_value(word, mp, y):
