@@ -208,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.order = _group_order(args.group)
         return args.func(args)
-    except (ValueError, RecursionError, ImportError) as exc:
+    except (ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -203,8 +203,19 @@ def word_from_json(d: dict, where: str = "word") -> IndexedWord:
         raise WordSyntaxError("'s' must be a list of integers", str(d), 0)
     if not isinstance(marks, list):
         raise WordSyntaxError("'m' must be a list of 'p/q' strings", str(d), 0)
+    if all(type(m) is str for m in marks):
+        return _word(tuple(exponents), tuple(marks))
     return IndexedWord.from_parts(exponents,
                                   [_fraction_from_str(m) for m in marks])
+
+
+@lru_cache(maxsize=4096)
+def _word(exponents: tuple[int, ...], marks: tuple[str, ...]) -> IndexedWord:
+    """:func:`word_from_json` of checked exponents and string marks,
+    memoised by them: a stream repeats its words, and a refused one is not
+    remembered.  Every exponent is an ``int`` by then, so ``True`` or
+    ``2.0``, which hash as 1 and 2, never reach the table."""
+    return IndexedWord.from_parts(exponents, [_mark(m) for m in marks])
 
 
 def _fraction_from_str(text: str) -> GroupElement:

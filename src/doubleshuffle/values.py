@@ -17,6 +17,12 @@ comes with a certified bound on its error, the tails left off its series
 plus the float rounding, bounded a priori in the style of Higham, *Accuracy
 and Stability of Numerical Algorithms*, chapters 3 and 4.  The standard
 library is all it needs.
+
+Work a stream repeats is done once: values are cached per word
+(:func:`mpl_numeric`), and the tail bounds, pure functions of a term count,
+a depth and a ratio or exponent, are memoised, so that the words of a
+stream share the term-count searches of :func:`_least_terms` and the
+per-level bounds of :func:`_chain`.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import threading
 from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import product as iter_product
 from operator import truediv
 from typing import Iterator
@@ -629,6 +636,7 @@ def _own_chain(steps: list[tuple], terms: int, s: int,
     return value, (_power_tail(terms, s, k) + _U * rounding) * _SAFETY
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def _geometric_tail(terms: int, k: int, x: float) -> float:
     """sum_{m > M} C(m-1, k-1) x^m, M = terms, bound by its first term over
     1 - rho, where rho, the ratio of that term to the next, bounds every
@@ -642,6 +650,7 @@ def _geometric_tail(terms: int, k: int, x: float) -> float:
     return math.exp(log_first) / (1 - x * (terms + 1) / (terms + 2 - k))
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def _power_tail(terms: int, s: int, k: int) -> float:
     """A bound on sum_{m > M} m^{-s} (1 + log m)^{k-1}/(k-1)!, M = terms,
     s >= 2: the first term, plus the integral from M + 1 on of
@@ -660,7 +669,12 @@ def _power_tail(terms: int, s: int, k: int) -> float:
 
 def _least_terms(tail, cap: int) -> int | None:
     """The least M <= cap with tail(M) <= _TAIL, for a tail bound that
-    falls with M, found by doubling and then bisection; None past cap."""
+    falls with M, found by doubling and then bisection; None past cap.
+
+    A search probes about 2 log2(M) term counts.  The two tail bounds are
+    memoised, so the words of a stream that share a depth and a ratio or
+    leading exponent, and the chains summed after the search, reuse its
+    probes rather than recompute them."""
     high = 1
     while tail(high) > _TAIL:
         if high >= cap:

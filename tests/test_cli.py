@@ -19,7 +19,8 @@ from doubleshuffle.textio import (RelationWriter, WordSyntaxError,
                                   lincomb_from_json, lincomb_to_json,
                                   lincomb_to_latex, parse_indexed_word,
                                   parse_shuffle_word, relation_from_json,
-                                  relation_to_json, word_to_json)
+                                  relation_to_json, word_from_json,
+                                  word_to_json)
 from doubleshuffle.values import (Relation, double_shuffle_relations,
                                   indexed_words, relation_stream)
 
@@ -190,6 +191,20 @@ class TestFormatting:
                     Relation("euler", (zw(2), zw(2)), LinComb())):
             assert writer.relation(rel) == json.dumps(relation_to_json(rel))
             assert relation_from_json(json.loads(writer.relation(rel))) == rel
+
+    def test_repeated_json_word_is_one_object(self):
+        blob = '{"s": [2, 1], "m": ["1/3", "0/1"]}'
+        word = word_from_json(json.loads(blob))
+        assert word == IndexedWord(((2, GroupElement(1, 3)), (1, ONE)))
+        assert word_from_json(json.loads(blob)) is word
+
+    @pytest.mark.parametrize("cached, bad", [([1], [True]), ([2], [2.0])])
+    def test_json_word_memo_keeps_exponent_types(self, cached, bad):
+        """True == 1 and 2.0 == 2 hash alike, so they must be refused
+        before the memo is looked up."""
+        word_from_json({"s": cached, "m": ["0/1"]})
+        with pytest.raises(WordSyntaxError, match="'s' must be a list"):
+            word_from_json({"s": bad, "m": ["0/1"]})
 
     def test_word_fragment_equals_json_dumps(self):
         words = [IndexedWord()]
@@ -667,6 +682,31 @@ class TestCommandLine:
         monkeypatch.setattr(cli, "_cmd_euler", broken)
         with pytest.raises(KeyError, match="internal"):
             main(["euler", "2", "3"])
+
+    def test_internal_import_error_propagates(self, monkeypatch):
+        """No command imports at run time, so an ImportError is a bug."""
+        def broken(args):
+            raise ImportError("internal")
+
+        monkeypatch.setattr(cli, "_cmd_euler", broken)
+        with pytest.raises(ImportError, match="internal"):
+            main(["euler", "2", "3"])
+
+    def test_verify_json_bytes_are_pinned(self, capsys, tmp_path):
+        """sha256 of verify's JSON lines on the sign weight-6 stream at
+        --tol 0: a residual or bound that moves by one bit changes it."""
+        code, out, _ = self.run(capsys, "relations", "--weight", "6",
+                                "--depth", "3", "--group", "sign",
+                                "--hoffman", "--format", "json")
+        assert code == 0
+        stream = tmp_path / "sign.jsonl"
+        stream.write_text(out)
+        code, out, _ = self.run(capsys, "verify", "--format", "json",
+                                "--tol", "0", "--input", str(stream))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "4d24cfedc44c3a5a3df36df0076c9d63"
+            "84eebbc418ac6c7e61caaff464081b6a")
 
     def test_relations_root_group(self, capsys):
         code, out, _ = self.run(capsys, "relations", "--weight", "3",

@@ -13,7 +13,7 @@ from doubleshuffle import (MINUS_ONE, ONE, DomainError, GroupElement,
                            double_shuffle_relations, euler_relation,
                            explicit_product_e, group_elements,
                            hoffman_difference, lambda_numeric, mpl_numeric,
-                           quasi_shuffle, theta, values,
+                           quasi_shuffle, textio, theta, values,
                            verify_relation_numeric, worked_examples)
 from doubleshuffle.maps import theta_inv_marks
 from doubleshuffle.values import admissible_words, relation_stream
@@ -588,6 +588,47 @@ class TestEvaluator:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert got == [want] * 4
+
+
+def _bits(val):
+    """A NumericValue as exact bits: float.hex tells -0.0 from 0.0."""
+    return (val.value.real.hex(), val.value.imag.hex(), val.truncation_n,
+            val.tail_estimate.hex())
+
+
+class TestMemos:
+    """The tail bounds and parsed words are memoised; the memos change no
+    bit of a value and stay bounded."""
+
+    TAILS = (values._geometric_tail, values._power_tail)
+
+    @pytest.mark.parametrize("weight, order", [(6, 2), (5, 3)])
+    def test_values_equal_with_the_tail_memos_cold_and_warm(
+            self, monkeypatch, weight, order):
+        words = {}
+        for rel in relation_stream(weight, 3, order, hoffman=True):
+            for word in list(rel.factors) + [w for w, _ in
+                                             rel.combination.items()]:
+                if word.is_admissible:
+                    words[word] = None
+        evaluate = mpl_numeric.__wrapped__
+        cold = {}
+        for word in words:
+            for tail in self.TAILS:
+                tail.cache_clear()
+            cold[word] = _bits(evaluate(word, N, True))
+        warm = {word: _bits(evaluate(word, N, True)) for word in words}
+        for tail in self.TAILS:
+            assert tail.cache_info().hits > 0
+            monkeypatch.setattr(values, tail.__name__, tail.__wrapped__)
+        bare = {word: _bits(evaluate(word, N, True)) for word in words}
+        assert len(words) > 40
+        assert cold == warm == bare
+
+    def test_every_memo_is_bounded(self):
+        for memo in self.TAILS + (textio._word,):
+            maxsize = memo.cache_info().maxsize
+            assert isinstance(maxsize, int) and maxsize > 0, memo
 
 
 class TestVerification:
