@@ -27,6 +27,18 @@ def binomial(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
+class _Pairs(dict):
+    """exponent -> the one ``(exponent, mark)`` pair of a mark, made on first
+    use.  Two threads that miss at once make equal pairs, and either may
+    stay."""
+
+    __slots__ = ("mark",)
+
+    def __missing__(self, s: int) -> tuple:
+        pair = self[s] = (s, self.mark)
+        return pair
+
+
 class GroupElement:
     """A root of unity exp(2*pi*i * num/den).
 
@@ -34,9 +46,14 @@ class GroupElement:
     has one live instance, so equality and hashing are identity (done
     in C, also inside the tuple hashes of words).  Multiplication adds
     angles mod 1; every element has finite order.
+
+    ``pairs[s]`` is the mark's shared pair ``(s, mark)``: the kernels build
+    words from these, so a word of depth k allocates one tuple, not k + 1.
+    The pairs live and die with their mark (the cycle between them is
+    freed by the collector), so the weak intern table still forgets it.
     """
 
-    __slots__ = ("num", "den", "__weakref__")
+    __slots__ = ("num", "den", "pairs", "__weakref__")
 
     # (num, den) in lowest terms -> the live instance of that angle.  The
     # table is weak, so an angle's entry goes with its last instance and
@@ -59,6 +76,8 @@ class GroupElement:
                 if self is None:
                     self = object.__new__(cls)
                     self.num, self.den = key
+                    self.pairs = _Pairs()
+                    self.pairs.mark = self
                     cls._interned[key] = self
         return self
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, pairwise
 from math import comb
+from operator import getitem
 from typing import Iterator
 
 from .core import (ONE, DomainError, GroupElement, IndexedWord, LinComb,
@@ -263,7 +264,9 @@ def _closed_form(mu: IndexedWord, nu: IndexedWord, merge, walks) -> LinComb:
     exactly when they share the merged marks and the composition t, and
     the t's of one index pair are distinct, so the sum keeps one
     ``{t: c}`` dict per merged-mark vector, the first pair of each vector
-    goes in whole, and each word is built once, at the end.  Every walked
+    goes in whole, and each word is built once, at the end, from its
+    marks' shared pairs (``GroupElement.pairs``): each vector's rows are
+    looked up once, and a word is then its one tuple.  Every walked
     coefficient is a product of nonzero binomials, so no sum vanishes.
     """
     sums: dict = {}
@@ -276,8 +279,9 @@ def _closed_form(mu: IndexedWord, nu: IndexedWord, merge, walks) -> LinComb:
             get = acc.get
             for t, c in walked:
                 acc[t] = get(t, 0) + c
-    return LinComb._wrap({_unchecked_word(zip(t, marks)): c
+    return LinComb._wrap({_unchecked_word(map(getitem, rows, t)): c
                           for marks, acc in sums.items()
+                          for rows in ([b.pairs for b in marks],)
                           for t, c in acc.items()})
 
 

@@ -12,20 +12,41 @@ words; these are the oracle counterparts of the closed-form expansion in
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import sub
+from itertools import chain
+from operator import getitem, sub
 
 from .core import (DomainError, GroupElement, IndexedWord, LinComb,
                    ShuffleWord, _unchecked_word)
 from .recursive import _MEMO_SIZE, _shuffle_letters
 
 
-def _encode(letters: tuple, rewrite=tuple) -> IndexedWord:
-    """Block encoding of a letter tuple that is empty or ends in a marked
-    letter, marks passed through ``rewrite``; injective, as each exponent is
+def _codes(*words: tuple) -> tuple[list[tuple[int, ...]], list]:
+    """The letter tuples with each letter renamed to a small int: 0 for the
+    unmarked letter, 1, 2, ... for the distinct marks by first appearance;
+    and the list of letters, indexed by code, that decodes them."""
+    code = {None: 0}
+    for b in chain(*words):
+        code.setdefault(b, len(code))
+    return [tuple(map(code.__getitem__, w)) for w in words], list(code)
+
+
+def _rows(letters: list, rewrite=tuple):
+    """For one call's codes: the pair rows (``GroupElement.pairs``) of the
+    marks of a coded mark tuple, passed through ``rewrite``, memoised for
+    that call."""
+    @lru_cache(maxsize=None)
+    def rows(codes: tuple[int, ...]) -> list[dict]:
+        return [b.pairs for b in rewrite(tuple(map(letters.__getitem__, codes)))]
+    return rows
+
+
+def _encode(letters: tuple[int, ...], rows) -> IndexedWord:
+    """Block encoding of a coded letter tuple that is empty or ends in a
+    marked letter, marks decoded by ``rows``; injective, as each exponent is
     the gap between the positions of two consecutive marked letters."""
-    ends = [i for i, b in enumerate(letters, 1) if b is not None]
-    marks = tuple([letters[i - 1] for i in ends])
-    return _unchecked_word(zip(map(sub, ends, [0, *ends]), rewrite(marks)))
+    ends = [i for i, b in enumerate(letters, 1) if b]
+    return _unchecked_word(map(getitem, rows(tuple(filter(None, letters))),
+                               map(sub, ends, [0, *ends])))
 
 
 def rho(u: ShuffleWord) -> IndexedWord:
@@ -33,7 +54,8 @@ def rho(u: ShuffleWord) -> IndexedWord:
     if not u.encodes_index_word:
         raise DomainError(f"word {str(u)!r} ends in the unmarked letter; "
                           "it does not encode an index word")
-    return _encode(u.letters)
+    (coded,), letters = _codes(u.letters)
+    return _encode(coded, _rows(letters))
 
 
 def rho_inv(word: IndexedWord) -> ShuffleWord:
@@ -47,7 +69,8 @@ def rho_inv(word: IndexedWord) -> ShuffleWord:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def theta_marks(marks: tuple[GroupElement, ...]) -> tuple[GroupElement, ...]:
-    """(b1, b2, ..., bk)  ->  (1/b1, b1/b2, ..., b_{k-1}/bk); memoised for product_e."""
+    """(b1, b2, ..., bk)  ->  (1/b1, b1/b2, ..., b_{k-1}/bk); memoised for
+    :func:`theta`, while ``product_e`` memoises its body per call."""
     out: list[GroupElement] = []
     prev: GroupElement | None = None
     for b in marks:
@@ -85,13 +108,21 @@ def eta_inv(word: IndexedWord) -> ShuffleWord:
     return rho_inv(theta_inv(word))
 
 
+def _transport(u: ShuffleWord, v: ShuffleWord, rewrite=tuple) -> LinComb:
+    """Interleave two letter words on int codes and block-encode each summed
+    letter tuple once, marks passed through ``rewrite``.  Both memos live
+    for this call, so no table outlives the codes it is keyed by."""
+    (u, v), letters = _codes(u.letters, v.letters)
+    rows = _rows(letters, rewrite)
+    return LinComb._wrap({_encode(w, rows): c
+                          for w, c in _shuffle_letters(u, v).items()})
+
+
 def product_b(mu: IndexedWord, nu: IndexedWord) -> LinComb:
     """Interleaving product transported through the block encoding."""
-    shuffled = _shuffle_letters(rho_inv(mu).letters, rho_inv(nu).letters)
-    return LinComb._wrap({_encode(w): c for w, c in shuffled.items()})
+    return _transport(rho_inv(mu), rho_inv(nu))
 
 
 def product_e(mu: IndexedWord, nu: IndexedWord) -> LinComb:
     """Interleaving product transported through eta (quotient coordinates)."""
-    shuffled = _shuffle_letters(eta_inv(mu).letters, eta_inv(nu).letters)
-    return LinComb._wrap({_encode(w, theta_marks): c for w, c in shuffled.items()})
+    return _transport(eta_inv(mu), eta_inv(nu), theta_marks.__wrapped__)

@@ -4,27 +4,33 @@ These recursions are the reference implementations ("oracle path") that the
 closed-form expansion in :mod:`doubleshuffle.explicit` is checked against.
 Both run one memoised quasi-shuffle recursion on letter tuples, each with its
 own bracket of leading letters (zero for interleaving, (s,b),(t,c) ->
-(s+t, b*c) for merging) and its own bounded LRU table (``cache_info()``); the
-tables are idempotent, so sharing them between threads is safe.
+(s+t, b*c) for merging) and its own memo (``cache_info()``).  Merging keeps a
+bounded LRU table across calls; it is idempotent, so sharing it between
+threads is safe.  Interleaving memoises within one call only: its summed
+letter tuples are freed when the call returns, and its ``cache_info()``
+sums the hits and misses of every call, with ``currsize`` 0.
 """
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 
 from .core import (DomainError, GroupElement, IndexedWord, LinComb, ShuffleWord,
                    _unchecked_word)
 
-# Entries kept per memo; the largest table a perfbench workload fills
-# (relations-roots) holds 6,586, so none of them evicts.
+# Entries kept by quasi_shuffle's memo (and by maps.theta_marks); the largest
+# table a perfbench workload fills (relations-roots) holds 6,586, so it does
+# not evict.  The interleaving memo lives for one call and needs no bound.
 _MEMO_SIZE = 2 ** 15
 
 
-def _quasi_shuffle(bracket):
+def _quasi_shuffle(bracket, memo=lru_cache(maxsize=_MEMO_SIZE)):
     """a.u * b.v = a.(u * b.v) + b.(a.u * v) + [a,b].(u * v) on letter tuples, as
-    memo-owned ``{letters: coefficient}`` dicts; ``bracket=None`` is the zero
-    bracket (None is also a letter, the unmarked one)."""
-    @lru_cache(maxsize=_MEMO_SIZE)
+    ``{letters: coefficient}`` dicts owned by ``memo``; ``bracket=None`` is the
+    zero bracket (None, or 0 for int letters, is also a letter, the unmarked
+    one)."""
+    @memo
     def product(u: tuple, v: tuple) -> dict:
         if not u or not v:
             return {u + v: 1}
@@ -41,8 +47,26 @@ def _quasi_shuffle(bracket):
     return product
 
 
-_shuffle_letters = _quasi_shuffle(None)
 _stuffle_pairs = _quasi_shuffle(lambda a, b: (a[0] + b[0], a[1] * b[1]))
+# hits and misses of every _shuffle_letters call so far, under the lock
+_shuffle_counts = [0, 0]
+_counting = threading.Lock()
+
+
+def _shuffle_letters(u: tuple, v: tuple) -> dict:
+    """The interleavings of two letter tuples as a ``{letters: coefficient}``
+    dict the caller owns, memoised for this call only.  Clearing the memo
+    when the call ends frees its summed tuples by refcount, rather than
+    through the cycle between the recursion and its cache."""
+    product = _quasi_shuffle(None, lru_cache(maxsize=None))
+    try:
+        return product(u, v)
+    finally:
+        hits, misses, _, _ = product.cache_info()
+        product.cache_clear()
+        with _counting:
+            _shuffle_counts[0] += hits
+            _shuffle_counts[1] += misses
 
 
 def shuffle(u: ShuffleWord, v: ShuffleWord) -> LinComb:
@@ -50,7 +74,8 @@ def shuffle(u: ShuffleWord, v: ShuffleWord) -> LinComb:
 
     Satisfies the recursion  a.u' sh b.v' = a.(u' sh b.v') + b.(a.u' sh v')
     with the empty word as unit; the coefficients of the result always sum
-    to C(len(u)+len(v), len(u)).  ``shuffle.cache_info()`` reports the memo.
+    to C(len(u)+len(v), len(u)).  ``shuffle.cache_info()`` sums the counts
+    of every call's memo.
     """
     return LinComb._wrap({ShuffleWord(w): c for w, c
                           in _shuffle_letters(u.letters, v.letters).items()})
@@ -66,7 +91,9 @@ def quasi_shuffle(mu: IndexedWord, nu: IndexedWord) -> LinComb:
                           for w, c in _stuffle_pairs(mu, nu).items()})
 
 
-shuffle.cache_info = _shuffle_letters.cache_info
+# the CacheInfo tuple of functools, for the calls' summed counts
+shuffle.cache_info = lambda: type(_stuffle_pairs.cache_info())(
+    *_shuffle_counts, None, 0)
 quasi_shuffle.cache_info = _stuffle_pairs.cache_info
 
 

@@ -600,15 +600,13 @@ def _chain(steps: list[tuple], terms: int,
     sum, and one per letter for the division by m.
     """
     sums = _series(steps, terms)
-    log_lam = math.log(-math.log1p(-x))
     index = _index_cost(steps) + 1
     blocks = -(-terms // _BLOCK)
     out = [(1.0, 0.0)]
     k = 0
     for level, ((inv, _), value) in enumerate(zip(steps, sums[1:]), 1):
         k += inv is not None
-        mass = math.exp(k * log_lam - math.lgamma(k + 1))
-        moment = x / (1 - x) * math.exp((k - 1) * log_lam - math.lgamma(k))
+        mass, moment = _chain_moduli(k, x)
         rounding = index * moment + (level + blocks - 1) * mass
         out.append((value, _geometric_tail(terms, k, x) + _U * rounding))
     return out
@@ -634,6 +632,16 @@ def _own_chain(steps: list[tuple], terms: int, s: int,
     blocks = -(-terms // _BLOCK)
     rounding = (_index_cost(steps) + 1) * moment + (levels + blocks - 1) * mass
     return value, (_power_tail(terms, s, k) + _U * rounding) * _SAFETY
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _chain_moduli(k: int, x: float) -> tuple[float, float]:
+    """For a piece of k letters in :func:`_chain`: lambda^k/k!, the sum of
+    its terms' moduli, and x lambda^{k-1}/((k-1)! (1 - x)), that sum
+    weighted by m_1, with lambda = -log(1 - x)."""
+    log_lam = math.log(-math.log1p(-x))
+    return (math.exp(k * log_lam - math.lgamma(k + 1)),
+            x / (1 - x) * math.exp((k - 1) * log_lam - math.lgamma(k)))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

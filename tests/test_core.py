@@ -187,6 +187,19 @@ class TestWords:
             assert type(clone) is IndexedWord and clone == good
             assert all(a is b for (_, a), (_, b) in zip(clone, good))
 
+    def test_pickle_and_copy_keep_the_marks_pairs(self):
+        fifth = GroupElement(2, 5)
+        pairs, pair = fifth.pairs, fifth.pairs[3]
+        assert pair == (3, fifth) and pairs.mark is fifth
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(fifth, protocol))
+            assert clone is fifth and clone.pairs is pairs
+            assert clone.pairs[3] is pair
+        for clone in (copy.copy(fifth), copy.deepcopy(fifth)):
+            assert clone is fifth and clone.pairs[3] is pair
+        word = _unchecked_word((pair, fifth.pairs[1]))
+        assert all(a is b for a, b in zip(copy.deepcopy(word), word))
+
     def test_letters_are_interned(self):
         """A letter is its mark (None when unmarked), so it is interned with
         the mark and keeps its identity through pickling and copying."""

@@ -1,14 +1,19 @@
 """Encoding bijections and the two transported products."""
 
+import gc
+import weakref
+
 import pytest
 
 from doubleshuffle import (MINUS_ONE, ONE, DomainError, GroupElement,
                            IndexedWord, LinComb, ShuffleWord,
-                           binomial, eta, eta_inv, product_b, product_e, rho,
-                           rho_inv, theta, theta_inv)
+                           binomial, eta, eta_inv, explicit_product_b,
+                           explicit_product_e, perm_product_b, product_b,
+                           product_e, rho, rho_inv, shuffle, theta, theta_inv)
+from doubleshuffle.explicit import _merged_marks
 
 from bruteforce import brute_shuffle
-from helpers import all_indexed_words, all_shuffle_words, zw
+from helpers import all_indexed_words, all_shuffle_words, mw, zw
 
 X0, X1 = None, ONE
 
@@ -134,3 +139,63 @@ class TestTransportedProducts:
                 e_ref = brute_shuffle(eta_inv(mu), eta_inv(nu)).map_words(eta)
                 assert product_b(mu, nu) == b_ref, (mu, nu)
                 assert product_e(mu, nu) == e_ref, (mu, nu)
+
+
+class TestSharedMemosAndPairs:
+    """The letter shuffle memoises within one call on int letters, and
+    every route builds its words from the marks' shared pairs."""
+
+    def test_routes_build_words_from_the_shared_pairs(self):
+        fifth = [GroupElement(j, 5) for j in range(5)]
+        mu, nu = mw((2, 1), fifth[1:3]), mw((1, 3), fifth[3:5])
+        routes = {"b": (explicit_product_b, perm_product_b, product_b),
+                  "e": (explicit_product_e, product_e)}
+        for form, products in routes.items():
+            results = [product(mu, nu) for product in products]
+            assert results[0] and all(r == results[0] for r in results), form
+            for result in results:
+                for word in result.words():
+                    for pair in word:
+                        s, b = pair
+                        assert pair is b.pairs[s], (form, word)
+            first = {w: w for w in results[0].words()}
+            for result in results[1:]:
+                for word in result.words():
+                    assert all(p is q for p, q in zip(word, first[word]))
+
+    def test_a_mark_used_only_by_the_products_is_freed(self):
+        key = (2, 10 ** 9 + 9)
+        mark = GroupElement(*key)
+        mu, nu = mw((2, 1), (mark, MINUS_ONE)), mw((1, 2), (mark.inverse(), mark))
+        for closed, oracle in ((explicit_product_b, product_b),
+                               (perm_product_b, product_b),
+                               (explicit_product_e, product_e)):
+            assert closed(mu, nu) == oracle(mu, nu)
+        freed = weakref.ref(mark)
+        del mark, mu, nu
+        _merged_marks.cache_clear()
+        gc.collect()
+        assert freed() is None
+        assert GroupElement._interned.get(key) is None
+
+    def test_shuffle_counts_every_call_and_keeps_no_entry(self):
+        mu, nu = mw((2, 1), (GroupElement(1, 5), ONE)), mw((3,), (MINUS_ONE,))
+        seen = shuffle.cache_info()
+        for _ in range(3):
+            product_b(mu, nu)
+            info = shuffle.cache_info()
+            assert info.hits + info.misses > seen.hits + seen.misses
+            assert info.currsize == 0
+            seen = info
+
+    def test_letter_codes_are_renamed_per_call(self):
+        """Both calls code their marks as 1 and 2, so a memo keyed by codes
+        that outlived its call would decode the second call's words with
+        the first call's marks."""
+        fifth = [GroupElement(j, 5) for j in range(5)]
+        for a, b in ((fifth[1], fifth[2]), (fifth[3], fifth[4])):
+            mu, nu = mw((2,), (a,)), mw((1,), (b,))
+            b_ref = brute_shuffle(rho_inv(mu), rho_inv(nu)).map_words(rho)
+            e_ref = brute_shuffle(eta_inv(mu), eta_inv(nu)).map_words(eta)
+            assert product_b(mu, nu) == b_ref, (mu, nu)
+            assert product_e(mu, nu) == e_ref, (mu, nu)

@@ -597,10 +597,10 @@ def _bits(val):
 
 
 class TestMemos:
-    """The tail bounds and parsed words are memoised; the memos change no
-    bit of a value and stay bounded."""
+    """The tail bounds, the chain moduli and the parsed words are memoised;
+    the memos change no bit of a value and stay bounded."""
 
-    TAILS = (values._geometric_tail, values._power_tail)
+    TAILS = (values._geometric_tail, values._power_tail, values._chain_moduli)
 
     @pytest.mark.parametrize("weight, order", [(6, 2), (5, 3)])
     def test_values_equal_with_the_tail_memos_cold_and_warm(
