@@ -34,6 +34,9 @@ class _Pairs(dict):
 
     __slots__ = ("mark",)
 
+    def __init__(self, mark: "GroupElement"):
+        self.mark = mark
+
     def __missing__(self, s: int) -> tuple:
         pair = self[s] = (s, self.mark)
         return pair
@@ -49,15 +52,17 @@ class GroupElement:
 
     ``pairs[s]`` is the mark's shared pair ``(s, mark)``: the kernels build
     words from these, so a word of depth k allocates one tuple, not k + 1.
-    The pairs live and die with their mark (the cycle between them is
-    freed by the collector), so the weak intern table still forgets it.
+    The pairs are made the first time a kernel asks for them and live and
+    die with their mark.
     """
 
-    __slots__ = ("num", "den", "pairs", "__weakref__")
+    __slots__ = ("num", "den", "_pairs", "__weakref__")
 
     # (num, den) in lowest terms -> the live instance of that angle.  The
     # table is weak, so an angle's entry goes with its last instance and
     # parsing ever-new marks (a long ``verify`` stream) does not grow it.
+    # A mark whose pairs were made is in a cycle with them, so its entry
+    # goes at the next collection after its last use instead.
     _interned: "weakref.WeakValueDictionary[tuple[int, int], GroupElement]" \
         = weakref.WeakValueDictionary()
     # held only to create an instance, so two threads never make two
@@ -76,10 +81,19 @@ class GroupElement:
                 if self is None:
                     self = object.__new__(cls)
                     self.num, self.den = key
-                    self.pairs = _Pairs()
-                    self.pairs.mark = self
                     cls._interned[key] = self
         return self
+
+    @property
+    def pairs(self) -> _Pairs:
+        """exponent -> the shared pair ``(s, self)``, made on first use."""
+        try:
+            return self._pairs
+        except AttributeError:
+            with self._creating:
+                if not hasattr(self, "_pairs"):
+                    self._pairs = _Pairs(self)
+            return self._pairs
 
     def __reduce__(self):
         """Pickle and copy through the constructor, which returns the

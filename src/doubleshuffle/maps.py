@@ -17,7 +17,7 @@ from operator import getitem, sub
 
 from .core import (DomainError, GroupElement, IndexedWord, LinComb,
                    ShuffleWord, _unchecked_word)
-from .recursive import _MEMO_SIZE, _shuffle_letters
+from .recursive import _shuffle_letters
 
 
 def _codes(*words: tuple) -> tuple[list[tuple[int, ...]], list]:
@@ -67,10 +67,8 @@ def rho_inv(word: IndexedWord) -> ShuffleWord:
     return ShuffleWord(letters)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def theta_marks(marks: tuple[GroupElement, ...]) -> tuple[GroupElement, ...]:
-    """(b1, b2, ..., bk)  ->  (1/b1, b1/b2, ..., b_{k-1}/bk); memoised for
-    :func:`theta`, while ``product_e`` memoises its body per call."""
+    """(b1, b2, ..., bk)  ->  (1/b1, b1/b2, ..., b_{k-1}/bk)."""
     out: list[GroupElement] = []
     prev: GroupElement | None = None
     for b in marks:
@@ -125,4 +123,4 @@ def product_b(mu: IndexedWord, nu: IndexedWord) -> LinComb:
 
 def product_e(mu: IndexedWord, nu: IndexedWord) -> LinComb:
     """Interleaving product transported through eta (quotient coordinates)."""
-    return _transport(eta_inv(mu), eta_inv(nu), theta_marks.__wrapped__)
+    return _transport(eta_inv(mu), eta_inv(nu), theta_marks)

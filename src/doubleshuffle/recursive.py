@@ -14,18 +14,19 @@ sums the hits and misses of every call, with ``currsize`` 0.
 from __future__ import annotations
 
 import threading
+from collections import namedtuple
 from functools import lru_cache
 
 from .core import (DomainError, GroupElement, IndexedWord, LinComb, ShuffleWord,
                    _unchecked_word)
 
-# Entries kept by quasi_shuffle's memo (and by maps.theta_marks); the largest
-# table a perfbench workload fills (relations-roots) holds 6,586, so it does
-# not evict.  The interleaving memo lives for one call and needs no bound.
+# Entries kept by quasi_shuffle's memo; the largest table a perfbench
+# workload fills (relations-roots) holds 6,586, so it does not evict.  The
+# interleaving memo lives for one call and needs no bound.
 _MEMO_SIZE = 2 ** 15
 
 
-def _quasi_shuffle(bracket, memo=lru_cache(maxsize=_MEMO_SIZE)):
+def _quasi_shuffle(bracket, memo):
     """a.u * b.v = a.(u * b.v) + b.(a.u * v) + [a,b].(u * v) on letter tuples, as
     ``{letters: coefficient}`` dicts owned by ``memo``; ``bracket=None`` is the
     zero bracket (None, or 0 for int letters, is also a letter, the unmarked
@@ -47,7 +48,10 @@ def _quasi_shuffle(bracket, memo=lru_cache(maxsize=_MEMO_SIZE)):
     return product
 
 
-_stuffle_pairs = _quasi_shuffle(lambda a, b: (a[0] + b[0], a[1] * b[1]))
+_stuffle_pairs = _quasi_shuffle(lambda a, b: (a[0] + b[0], a[1] * b[1]),
+                                lru_cache(maxsize=_MEMO_SIZE))
+# functools' cache_info() shape, also for values.mpl_numeric
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 # hits and misses of every _shuffle_letters call so far, under the lock
 _shuffle_counts = [0, 0]
 _counting = threading.Lock()
@@ -91,9 +95,7 @@ def quasi_shuffle(mu: IndexedWord, nu: IndexedWord) -> LinComb:
                           for w, c in _stuffle_pairs(mu, nu).items()})
 
 
-# the CacheInfo tuple of functools, for the calls' summed counts
-shuffle.cache_info = lambda: type(_stuffle_pairs.cache_info())(
-    *_shuffle_counts, None, 0)
+shuffle.cache_info = lambda: _CacheInfo(*_shuffle_counts, None, 0)
 quasi_shuffle.cache_info = _stuffle_pairs.cache_info
 
 

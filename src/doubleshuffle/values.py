@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_right
-from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product as iter_product
@@ -41,7 +40,7 @@ from .core import (MINUS_ONE, ONE, DomainError, GroupElement, IndexedWord,
                    LinComb, binomial, group_elements)
 from .explicit import enum_compositions, explicit_product_e
 from .maps import theta, theta_inv_marks
-from .recursive import quasi_shuffle
+from .recursive import _CacheInfo, quasi_shuffle
 
 ZERO_SUM_KINDS = frozenset({"double-shuffle", "hoffman"})
 PRODUCT_KINDS = frozenset({"euler", "product"})
@@ -289,7 +288,6 @@ _hits = 0
 _misses = 0
 # held wherever _cache, _hits or _misses change, never across a sum
 _lock = threading.Lock()
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 def mpl_numeric(word: IndexedWord, n_terms: int,

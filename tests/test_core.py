@@ -88,6 +88,17 @@ class TestGroupElement:
         assert GroupElement._interned.get(key) is None
         assert GroupElement(*key).den == 10 ** 9 + 7
 
+    def test_a_mark_without_pairs_is_freed_at_once(self):
+        """Only the kernels make a mark's pairs, so a mark no kernel built a
+        word from is in no cycle and leaves the table with its last
+        reference, before any collection."""
+        key = (3, 10 ** 9 + 7)
+        mark = GroupElement(*key)
+        word = IndexedWord(((2, mark), (1, ONE)))
+        assert str(word) and copy.deepcopy(word) == word
+        del mark, word
+        assert GroupElement._interned.get(key) is None
+
     def test_pickle_and_copy_return_the_interned_instance(self):
         third = GroupElement(1, 3)
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):

@@ -178,6 +178,17 @@ class TestSharedMemosAndPairs:
         assert freed() is None
         assert GroupElement._interned.get(key) is None
 
+    def test_theta_keeps_no_mark_alive(self):
+        key = (1, 10 ** 9 + 7)
+        mark = GroupElement(*key)
+        word = IndexedWord(((2, mark), (1, mark.inverse())))
+        assert theta_inv(theta(word)) == word and eta(eta_inv(word)) == word
+        freed = weakref.ref(mark)
+        del mark, word
+        gc.collect()
+        assert freed() is None
+        assert GroupElement._interned.get(key) is None
+
     def test_shuffle_counts_every_call_and_keeps_no_entry(self):
         mu, nu = mw((2, 1), (GroupElement(1, 5), ONE)), mw((3,), (MINUS_ONE,))
         seen = shuffle.cache_info()
