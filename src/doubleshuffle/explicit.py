@@ -246,13 +246,15 @@ def _shape_walks(r: tuple[int, ...], s: tuple[int, ...]
 
 @lru_cache(maxsize=512)
 def _merged_marks(merge, a: tuple[GroupElement, ...],
-                  b: tuple[GroupElement, ...]
-                  ) -> tuple[tuple[GroupElement, ...], ...]:
-    """``merge(pair, a, b)`` for every index pair of ``(len(a), len(b))``,
-    in the order of :func:`_shape_walks`.  The exponents play no part, so
-    one mark vector pair merges once for all the shapes it meets."""
-    return tuple(merge(pair, a, b)
-                 for pair in enum_index_pairs(len(a), len(b)))
+                  b: tuple[GroupElement, ...]) -> tuple[tuple[tuple, tuple], ...]:
+    """``(marks, rows)`` for every index pair of ``(len(a), len(b))``, in the
+    order of :func:`_shape_walks`: the merged marks ``merge(pair, a, b)``
+    and their pair rows (``GroupElement.pairs``).  The exponents play no
+    part, so one mark vector pair merges, and reads its rows, once for all
+    the shapes it meets."""
+    return tuple((marks, tuple([m.pairs for m in marks]))
+                 for pair in enum_index_pairs(len(a), len(b))
+                 for marks in (merge(pair, a, b),))
 
 
 def _closed_form(mu: IndexedWord, nu: IndexedWord, merge, walks) -> LinComb:
@@ -264,24 +266,24 @@ def _closed_form(mu: IndexedWord, nu: IndexedWord, merge, walks) -> LinComb:
     exactly when they share the merged marks and the composition t, and
     the t's of one index pair are distinct, so the sum keeps one
     ``{t: c}`` dict per merged-mark vector, the first pair of each vector
-    goes in whole, and each word is built once, at the end, from its
-    marks' shared pairs (``GroupElement.pairs``): each vector's rows are
-    looked up once, and a word is then its one tuple.  Every walked
-    coefficient is a product of nonzero binomials, so no sum vanishes.
+    goes in whole, and each word is built once, at the end, as the one
+    tuple of its vector's cached rows at t.  Every walked coefficient is
+    a product of nonzero binomials, so no sum vanishes.
     """
     sums: dict = {}
-    for marks, (_, walked) in zip(_merged_marks(merge, mu.marks, nu.marks),
-                                  walks(mu.exponents, nu.exponents)):
-        acc = sums.get(marks)
-        if acc is None:
-            sums[marks] = dict(walked)
+    for (marks, rows), (_, walked) in zip(
+            _merged_marks(merge, mu.marks, nu.marks),
+            walks(mu.exponents, nu.exponents)):
+        entry = sums.get(marks)
+        if entry is None:
+            sums[marks] = (rows, dict(walked))
         else:
+            acc = entry[1]
             get = acc.get
             for t, c in walked:
                 acc[t] = get(t, 0) + c
     return LinComb._wrap({_unchecked_word(map(getitem, rows, t)): c
-                          for marks, acc in sums.items()
-                          for rows in ([b.pairs for b in marks],)
+                          for rows, acc in sums.values()
                           for t, c in acc.items()})
 
 

@@ -1,14 +1,16 @@
 """Recursive word products: the interleaving product and its merging variant.
 
-These recursions are the reference implementations ("oracle path") that the
+These are the reference implementations ("oracle path") that the
 closed-form expansion in :mod:`doubleshuffle.explicit` is checked against.
-Both run one memoised quasi-shuffle recursion on letter tuples, each with its
-own bracket of leading letters (zero for interleaving, (s,b),(t,c) ->
-(s+t, b*c) for merging) and its own memo (``cache_info()``).  Merging keeps a
-bounded LRU table across calls; it is idempotent, so sharing it between
-threads is safe.  Interleaving memoises within one call only: its summed
-letter tuples are freed when the call returns, and its ``cache_info()``
-sums the hits and misses of every call, with ``currsize`` 0.
+Interleaving runs the recursion a.u sh b.v = a.(u sh b.v) + b.(a.u sh v) on
+letter tuples, memoised within one call only: its summed letter tuples are
+freed when the call returns, and its ``cache_info()`` sums the hits and
+misses of every call, with ``currsize`` 0.  Merging sums explicitly over
+the quasi-shuffle patterns of its two depths (pairs of order-preserving
+injections whose images cover the target positions, merging the pairs that
+land on one position), each pattern a tuple of indices into the call's own
+pool of pairs; only the patterns, which hold ints, are kept across calls,
+in a bounded table that its ``cache_info()`` reports.
 """
 
 from __future__ import annotations
@@ -16,40 +18,11 @@ from __future__ import annotations
 import threading
 from collections import namedtuple
 from functools import lru_cache
+from itertools import combinations
 
 from .core import (DomainError, GroupElement, IndexedWord, LinComb, ShuffleWord,
                    _unchecked_word)
 
-# Entries kept by quasi_shuffle's memo; the largest table a perfbench
-# workload fills (relations-roots) holds 6,586, so it does not evict.  The
-# interleaving memo lives for one call and needs no bound.
-_MEMO_SIZE = 2 ** 15
-
-
-def _quasi_shuffle(bracket, memo):
-    """a.u * b.v = a.(u * b.v) + b.(a.u * v) + [a,b].(u * v) on letter tuples, as
-    ``{letters: coefficient}`` dicts owned by ``memo``; ``bracket=None`` is the
-    zero bracket (None, or 0 for int letters, is also a letter, the unmarked
-    one)."""
-    @memo
-    def product(u: tuple, v: tuple) -> dict:
-        if not u or not v:
-            return {u + v: 1}
-        a, b = u[0], v[0]
-        out = {(a,) + w: c for w, c in product(u[1:], v).items()}
-        rests = ((b, u, v[1:]),)
-        if bracket is not None:
-            rests += ((bracket(a, b), u[1:], v[1:]),)
-        for head, left, right in rests:
-            for w, c in product(left, right).items():
-                w = (head,) + w
-                out[w] = out.get(w, 0) + c
-        return out
-    return product
-
-
-_stuffle_pairs = _quasi_shuffle(lambda a, b: (a[0] + b[0], a[1] * b[1]),
-                                lru_cache(maxsize=_MEMO_SIZE))
 # functools' cache_info() shape, also for values.mpl_numeric
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 # hits and misses of every _shuffle_letters call so far, under the lock
@@ -59,10 +32,21 @@ _counting = threading.Lock()
 
 def _shuffle_letters(u: tuple, v: tuple) -> dict:
     """The interleavings of two letter tuples as a ``{letters: coefficient}``
-    dict the caller owns, memoised for this call only.  Clearing the memo
-    when the call ends frees its summed tuples by refcount, rather than
-    through the cycle between the recursion and its cache."""
-    product = _quasi_shuffle(None, lru_cache(maxsize=None))
+    dict the caller owns, by a.u sh b.v = a.(u sh b.v) + b.(a.u sh v) with
+    a memo for this call only.  Clearing the memo when the call ends frees
+    its summed tuples by refcount, rather than through the cycle between
+    the recursion and its cache."""
+    @lru_cache(maxsize=None)
+    def product(u: tuple, v: tuple) -> dict:
+        if not u or not v:
+            return {u + v: 1}
+        out = {(u[0],) + w: c for w, c in product(u[1:], v).items()}
+        b = v[0]
+        for w, c in product(u, v[1:]).items():
+            w = (b,) + w
+            out[w] = out.get(w, 0) + c
+        return out
+
     try:
         return product(u, v)
     finally:
@@ -85,18 +69,73 @@ def shuffle(u: ShuffleWord, v: ShuffleWord) -> LinComb:
                           in _shuffle_letters(u.letters, v.letters).items()})
 
 
+# A relation loop of depth d meets the (k, l) with k, l >= 1 and
+# k + l <= d, (d - 1) * d / 2 of them, so every table up to depth 8 stays.
+@lru_cache(maxsize=32)
+def _stuffle_patterns(k: int, l: int) -> tuple[tuple[int, ...], ...]:
+    """The D(k, l) (Delannoy number) quasi-shuffle patterns of a depth-k
+    word with a depth-l word.  A pattern lists, per target position, the
+    index of its pair in the pool of :func:`quasi_shuffle`: i < k for left
+    pair i, k + j for right pair j, k + l + i*l + j for the two merged.
+
+    A pattern with m merges has k + l - m positions, of which it picks the
+    m merged ones and then k - m of the rest for the left word.  The table
+    is built from these choices, without recursion, so a deep word costs
+    the size of its table and never meets the interpreter's recursion
+    limit.
+    """
+    patterns = []
+    for m in range(min(k, l) + 1):
+        n = k + l - m
+        for merged in combinations(range(n), m):
+            rest = [p for p in range(n) if p not in merged]
+            for left in combinations(rest, k - m):
+                source = [1] * n  # 0 left, 1 right, 2 merged
+                for p in merged:
+                    source[p] = 2
+                for p in left:
+                    source[p] = 0
+                i = j = 0
+                pattern = []
+                for src in source:
+                    if src == 0:
+                        pattern.append(i)
+                        i += 1
+                    elif src == 1:
+                        pattern.append(k + j)
+                        j += 1
+                    else:
+                        pattern.append(k + l + i * l + j)
+                        i += 1
+                        j += 1
+                patterns.append(tuple(pattern))
+    return tuple(patterns)
+
+
 def quasi_shuffle(mu: IndexedWord, nu: IndexedWord) -> LinComb:
-    """Interleavings where the two leading pairs may also merge into one.
+    """Interleavings where a pair of each word may also merge into one.
 
     Merging adds exponents and multiplies marks, so over the trivial group
-    this is the classical sum-representation product rule.
+    this is the classical sum-representation product rule.  The words are
+    summed over the patterns of :func:`_stuffle_patterns`, each one tuple
+    taken from the call's pool: the pairs of ``mu`` and ``nu``, then each
+    merged pair, the mark's shared ``GroupElement.pairs`` entry.  No word
+    outlives the call; ``quasi_shuffle.cache_info()`` reports the table of
+    patterns.
     """
-    return LinComb._wrap({_unchecked_word(w): c
-                          for w, c in _stuffle_pairs(mu, nu).items()})
+    pool = [*mu, *nu]
+    pool += [(b * c).pairs[s + t] for s, b in mu for t, c in nu]
+    get = pool.__getitem__
+    out: dict = {}
+    count = out.get
+    for pattern in _stuffle_patterns(len(mu), len(nu)):
+        word = _unchecked_word(map(get, pattern))
+        out[word] = count(word, 0) + 1
+    return LinComb._wrap(out)
 
 
 shuffle.cache_info = lambda: _CacheInfo(*_shuffle_counts, None, 0)
-quasi_shuffle.cache_info = _stuffle_pairs.cache_info
+quasi_shuffle.cache_info = _stuffle_patterns.cache_info
 
 
 def op_P(x: LinComb) -> LinComb:

@@ -371,7 +371,7 @@ def closed_form_words(mu, nu, merge, walks=_shape_walks):
     ``(word, c)``: each pair's merged marks zipped with its walked terms,
     each word built through the checking ``IndexedWord`` constructor."""
     return [(IndexedWord(zip(t, marks)), c)
-            for marks, (_, walked) in zip(
+            for (marks, _), (_, walked) in zip(
                 _merged_marks(merge, mu.marks, nu.marks),
                 walks(mu.exponents, nu.exponents))
             for t, c in walked]
@@ -468,6 +468,10 @@ class TestPrunedWalk:
             nu = IndexedWord.from_parts((3,), b)
             for closed, oracle in routes:
                 assert closed(mu, nu) == oracle(mu, nu), (closed.__name__, mu, nu)
+            for merge in (merge_marks_b, merge_marks_e):
+                for marks, rows in _merged_marks(merge, a, b):
+                    assert len(rows) == len(marks)
+                    assert all(row is m.pairs for row, m in zip(rows, marks))
         assert _merged_marks.cache_info().hits > 0
 
 class TestPermutationForm:

@@ -3,9 +3,10 @@
 import pytest
 
 from doubleshuffle import (MINUS_ONE, ONE, DomainError, IndexedWord, LinComb,
-                           ShuffleWord, bilinear, binomial, op_P, op_Q,
-                           quasi_shuffle, shuffle)
+                           ShuffleWord, bilinear, binomial, group_elements,
+                           op_P, op_Q, quasi_shuffle, shuffle)
 from doubleshuffle.maps import product_b
+from doubleshuffle.recursive import _stuffle_patterns
 
 from bruteforce import brute_quasi_shuffle, brute_shuffle
 from helpers import all_indexed_words, all_shuffle_words, zw
@@ -81,15 +82,53 @@ class TestQuasiShuffle:
                             (IndexedWord(((2, ONE),)), 1)])
         assert quasi_shuffle(m, m) == expected
 
-    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_matches_bruteforce(self, order):
         # order 3 is the first where a mark is not its own inverse, so it
-        # tells a product of marks from a quotient
-        words = all_indexed_words(4, order=order)
+        # tells a product of marks from a quotient; the empty word is first
+        words = all_indexed_words(6, max_depth=3, order=order)
         for mu in words:
-            for nu in words:
-                if mu.weight + nu.weight <= 5:
-                    assert quasi_shuffle(mu, nu) == brute_quasi_shuffle(mu, nu)
+            for nu in words:  # in order of weight
+                if mu.weight + nu.weight > 6:
+                    break
+                assert quasi_shuffle(mu, nu) == brute_quasi_shuffle(mu, nu), \
+                    (mu, nu)
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_leading_pair_recursion(self, order):
+        # (a.u) * (b.v) = a.(u * b.v) + b.(a.u * v) + [a,b].(u * v), with
+        # [(s,b),(t,c)] = (s+t, b*c): the recursion that defines the product
+        def prepend(pair, x):
+            return x.map_words(lambda w: IndexedWord((pair,) + w))
+
+        words = all_indexed_words(4, max_depth=2, order=order)
+        heads = [(s, b) for s in (1, 2) for b in group_elements(order)]
+        for u in words:
+            for v in words:
+                if u.weight + v.weight > 4:
+                    break
+                for a in heads:
+                    for b in heads:
+                        au, bv = IndexedWord((a,) + u), IndexedWord((b,) + v)
+                        merged = (a[0] + b[0], a[1] * b[1])
+                        assert quasi_shuffle(au, bv) == \
+                            prepend(a, quasi_shuffle(u, bv)) + \
+                            prepend(b, quasi_shuffle(au, v)) + \
+                            prepend(merged, quasi_shuffle(u, v)), (au, bv)
+
+    def test_pattern_tables_are_delannoy_sized_and_hold_only_ints(self):
+        def delannoy(k, l):
+            return sum(binomial(k, m) * binomial(l, m) * 2 ** m
+                       for m in range(min(k, l) + 1))
+
+        assert [delannoy(n, n) for n in (1, 2, 3)] == [3, 13, 63]
+        for k in range(5):
+            for l in range(5):
+                table = _stuffle_patterns(k, l)
+                assert len(table) == len(set(table)) == delannoy(k, l)
+                assert type(table) is tuple
+                assert all(type(p) is tuple and all(type(i) is int for i in p)
+                           for p in table), (k, l)
 
     def test_terms_are_index_words(self):
         lc = quasi_shuffle(zw(2, 1), IndexedWord(((1, MINUS_ONE),)))
@@ -173,7 +212,6 @@ class TestOperators:
     @pytest.mark.parametrize("order", [1, 2])
     def test_rota_baxter_relations(self, order):
         # the four splitting identities characterizing the transported product
-        from doubleshuffle import group_elements
         prod = lambda x, y: bilinear(product_b, x, y)
         words = all_indexed_words(2, order=order)
         nonempty = [w for w in words if w.depth > 0]
