@@ -6,7 +6,8 @@ from doubleshuffle import (MINUS_ONE, ONE, DomainError, IndexedWord, LinComb,
                            ShuffleWord, bilinear, binomial, group_elements,
                            op_P, op_Q, quasi_shuffle, shuffle)
 from doubleshuffle.maps import product_b
-from doubleshuffle.recursive import _stuffle_patterns
+from doubleshuffle.recursive import (_KEPT_INDICES, _MAX_PATTERNS, _delannoy,
+                                     _interleave, _merge_pairs, _stuffle_patterns)
 
 from bruteforce import brute_quasi_shuffle, brute_shuffle
 from helpers import all_indexed_words, all_shuffle_words, zw
@@ -85,12 +86,16 @@ class TestQuasiShuffle:
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_matches_bruteforce(self, order):
         # order 3 is the first where a mark is not its own inverse, so it
-        # tells a product of marks from a quotient; the empty word is first
-        words = all_indexed_words(6, max_depth=3, order=order)
+        # tells a product of marks from a quotient; the empty word is first.
+        # A depth-4 word is met up to combined weight 5, which reaches the
+        # (4, 0), (4, 1) and (1, 4) tables.
+        words = all_indexed_words(6, max_depth=4, order=order)
         for mu in words:
             for nu in words:  # in order of weight
                 if mu.weight + nu.weight > 6:
                     break
+                if max(len(mu), len(nu)) == 4 and mu.weight + nu.weight > 5:
+                    continue
                 assert quasi_shuffle(mu, nu) == brute_quasi_shuffle(mu, nu), \
                     (mu, nu)
 
@@ -124,11 +129,51 @@ class TestQuasiShuffle:
         assert [delannoy(n, n) for n in (1, 2, 3)] == [3, 13, 63]
         for k in range(5):
             for l in range(5):
+                assert _delannoy(k, l) == delannoy(k, l)
                 table = _stuffle_patterns(k, l)
                 assert len(table) == len(set(table)) == delannoy(k, l)
                 assert type(table) is tuple
                 assert all(type(p) is tuple and all(type(i) is int for i in p)
                            for p in table), (k, l)
+
+    def test_tables_of_a_relation_loop_up_to_depth_8_are_kept(self):
+        for k in range(1, 8):
+            for l in range(1, 9 - k):
+                assert _delannoy(k, l) * (k + l) <= _KEPT_INDICES, (k, l)
+        assert _stuffle_patterns.cache_info().maxsize >= 7 * 8 // 2
+
+    @pytest.mark.parametrize("shape", [(300, 1), (7, 7)])
+    def test_large_products_keep_no_table(self, shape):
+        # (300, 1) has 601 patterns, summed from a table built for the call;
+        # (7, 7) has 48,639 and recurses
+        k, l = shape
+        mu, nu = zw(*[2] * k), zw(*[2] * l)
+        before = quasi_shuffle.cache_info()
+        lc = quasi_shuffle(mu, nu)
+        assert quasi_shuffle.cache_info() == before
+        assert lc.mass() == _delannoy(k, l)
+        assert len(lc) == {(300, 1): 301, (7, 7): 610}[shape]
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_recursion_matches_the_pattern_sum(self, order):
+        # the recursion serves products past _MAX_PATTERNS; below it the
+        # two routes must agree
+        words = all_indexed_words(5, max_depth=3, order=order)
+        for mu in words:
+            for nu in words:
+                if mu.weight + nu.weight > 5:
+                    break
+                assert _delannoy(len(mu), len(nu)) <= _MAX_PATTERNS
+                recursed = LinComb(_interleave(mu, nu, _merge_pairs).items())
+                assert recursed == quasi_shuffle(mu, nu), (mu, nu)
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_past_the_pattern_limit_matches_bruteforce(self, order):
+        marks = group_elements(order)
+        mu = IndexedWord((s, marks[s % order]) for s in (1, 2, 3, 4, 5))
+        nu = IndexedWord((s, marks[(s + 1) % order]) for s in (2, 1, 2, 3, 1))
+        assert _delannoy(5, 5) > _MAX_PATTERNS
+        assert quasi_shuffle(mu, nu) == brute_quasi_shuffle(mu, nu)
 
     def test_terms_are_index_words(self):
         lc = quasi_shuffle(zw(2, 1), IndexedWord(((1, MINUS_ONE),)))
