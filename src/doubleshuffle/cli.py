@@ -1,7 +1,9 @@
 """Command line surface.
 
 Exit status: 0 on success, 1 when ``verify`` finds a failing relation,
-2 on malformed input (word syntax, JSON, argument domain, or nesting too deep).
+2 on malformed input (word syntax, JSON, argument domain, or nesting too deep),
+141 (128 + SIGPIPE) when the reader closes stdout early, with nothing on
+stderr.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .core import DomainError, LinComb
@@ -211,6 +214,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader is gone: point stdout at the null device, so the
+        # flush of what is still buffered, at exit, prints nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

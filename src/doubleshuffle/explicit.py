@@ -189,101 +189,135 @@ def _sources(pair: IndexPair) -> tuple[bool, ...]:
     return pair.route((True,) * pair.k, (False,) * pair.l)
 
 
-def _walk(pair: IndexPair, r: tuple[int, ...],
-          s: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
-    """Every composition t of the total weight with a nonzero coefficient,
-    in lexicographic order, paired with that coefficient.
+def _lattice(r: tuple[int, ...], s: tuple[int, ...], targets) -> None:
+    """Add every index pair's nonzero ``(t, c)`` terms into ``targets[n]``,
+    n the pair's number in :func:`enum_index_pairs` order; each pair's
+    terms arrive in lexicographic order of t.
 
-    Write h for the routed exponents, T and H for the prefix sums of t and
-    h, and d_i = T_i - H_i for the slack.  The nonvanishing criterion reads
-    d_i >= d_{i-1} at a same-source position (t_i >= h_i), and d_{i-1} < h_i
-    with d_i >= 0 at a source switch (T_{i-1} < H_i <= T_i); position 1
-    counts as same-source with d_0 = 0.  So d >= 0 throughout, d never
-    decreases within a run of one source, d <= h_j - 1 just before a switch
-    at j, and d ends at 0 because T and H share the total weight.  Each
-    position before the last run is therefore capped by its next switch,
-    the last run is forced (t_j = h_j after its first position, factor 1
-    throughout), and every visited prefix extends to a term.  The
-    coefficient is a running product, one binomial per position.
+    A pair is a lattice path from (0, 0) to (k, l) whose steps take the
+    next exponent of r (the phi image) or of s.  Write h for the routed
+    exponents, T and H for the prefix sums of t and h, and d_i = T_i - H_i
+    for the slack.  The nonvanishing criterion reads d_i >= d_{i-1} at a
+    same-source position (t_i >= h_i), and d_{i-1} < h_i with d_i >= 0 at a
+    source switch (T_{i-1} < H_i <= T_i); position 1 counts as same-source
+    with d_0 = 0.  So d >= 0 throughout, d never decreases within a run of
+    one source, d <= h_j - 1 just before a switch at j, and d ends at 0
+    because T and H share the total weight.  A run of r's at node (a, b)
+    can end only in a switch to s_b, so its slack is capped at s_b - 1
+    (and a run of s's at r_a - 1); once one source is spent the last run
+    is forced (t_j = h_j after its first position, factor 1 throughout),
+    and every visited prefix extends to a term.  The coefficient is a
+    running product, one binomial per position.
 
-    The prefixes ``(t, d, c)`` are extended one position at a time, each
-    prefix by its slacks in increasing order, which keeps the terms in
-    lexicographic order.
+    The prefixes ``(t, d, c)`` are walked depth first on an explicit
+    stack, the r step before the s step and each step by its slacks in
+    increasing order, so pairs with a common first stretch share its
+    states.  A path's number grows by the count of paths through the r
+    step whenever it takes the s step instead.
     """
-    h, eps = pair.route(r, s), _sources(pair)
-    last = len(h) - 1
-    while last > 0 and eps[last - 1] == eps[-1]:
-        last -= 1
-    if last <= 0:  # a single run of one source, or the empty word
-        return [(tuple(h), 1)]
-    cap = [0] * last
-    for i in range(last - 1, -1, -1):
-        cap[i] = h[i + 1] - 1 if eps[i + 1] != eps[i] else cap[i + 1]
-    states = [((), 0, 1)]
-    for i in range(last):
-        hi, top = h[i], cap[i] + 1
-        if i and eps[i] != eps[i - 1]:
-            states = [(t + (ti,), e, c * comb(ti - 1, e))
-                      for t, d, c in states for e in range(top)
-                      for ti in (hi + e - d,)]
+    k, l = len(r), len(s)
+    if not k or not l:  # one run of one source, or the empty word
+        t = r + s
+        targets[0][t] = targets[0].get(t, 0) + 1
+        return
+    stack = [((), 0, 1, 0, 0, True, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        t, d, c, a, b, left, n = pop()
+        # The s step, pushed first so that the r step is walked first.  A
+        # step's slack e starts at lo, d in a run and 0 at a switch, and its
+        # factor is C(t_i - 1, e - lo): C(t_i - 1, h_i - 1) in a run and
+        # C(t_i - 1, d_i) at a switch.  Where the step spends its source,
+        # the next position starts the forced last run, at t = top - e.
+        h, top, lo = s[b], r[a], 0 if left else d
+        m = n + comb(k - a - 1 + l - b, l - b)
+        if b + 1 == l:
+            target, tail = targets[m], r[a + 1:]
+            get = target.get
+            for e in range(lo, top):
+                ti = h + e - d
+                u = t + (ti, top - e) + tail
+                target[u] = get(u, 0) + c * comb(ti - 1, e - lo)
         else:
-            states = [(t + (ti,), e, c * comb(ti - 1, hi - 1))
-                      for t, d, c in states for e in range(d, top)
-                      for ti in (hi + e - d,)]
-    h_last, rest = h[last], tuple(h[last + 1:])
-    return [(t + (h_last - d,) + rest, c) for t, d, c in states]
+            for e in range(top - 1, lo - 1, -1):
+                ti = h + e - d
+                push((t + (ti,), e, c * comb(ti - 1, e - lo), a, b + 1, False, m))
+        h, top, lo = r[a], s[b], d if left else 0
+        if a + 1 == k:
+            target, tail = targets[n], s[b + 1:]
+            get = target.get
+            for e in range(lo, top):
+                ti = h + e - d
+                u = t + (ti, top - e) + tail
+                target[u] = get(u, 0) + c * comb(ti - 1, e - lo)
+        else:
+            for e in range(top - 1, lo - 1, -1):
+                ti = h + e - d
+                push((t + (ti,), e, c * comb(ti - 1, e - lo), a + 1, b, True, n))
 
 
 @lru_cache(maxsize=1)
-def _shape_walks(r: tuple[int, ...], s: tuple[int, ...]
-                 ) -> tuple[tuple[IndexPair, tuple], ...]:
-    """Every index pair with its walked ``(t, c)`` terms, for one pair of
-    exponent vectors.  The marks play no part, so the mark variants of one
-    shape, which the relation loops visit back to back, walk once."""
-    return tuple((pair, tuple(_walk(pair, r, s)))
-                 for pair in enum_index_pairs(len(r), len(s)))
+def _shape_walks(r: tuple[int, ...], s: tuple[int, ...]) -> tuple[dict, ...]:
+    """Every index pair's walked ``{t: c}`` terms, in :func:`enum_index_pairs`
+    order, for one pair of exponent vectors.  The marks play no part, so
+    the mark variants of one shape, which the relation loops visit back to
+    back, walk once."""
+    walks = tuple({} for _ in range(comb(len(r) + len(s), len(r))))
+    _lattice(r, s, walks)
+    return walks
 
 
 @lru_cache(maxsize=512)
-def _merged_marks(merge, a: tuple[GroupElement, ...],
-                  b: tuple[GroupElement, ...]) -> tuple[tuple[tuple, tuple], ...]:
-    """``(marks, rows)`` for every index pair of ``(len(a), len(b))``, in the
-    order of :func:`_shape_walks`: the merged marks ``merge(pair, a, b)``
-    and their pair rows (``GroupElement.pairs``).  The exponents play no
-    part, so one mark vector pair merges, and reads its rows, once for all
-    the shapes it meets."""
-    return tuple((marks, tuple([m.pairs for m in marks]))
-                 for pair in enum_index_pairs(len(a), len(b))
-                 for marks in (merge(pair, a, b),))
+def _merged_marks(merge, a: tuple[GroupElement, ...], b: tuple[GroupElement, ...]
+                  ) -> tuple[bool, tuple[tuple[tuple, tuple], ...]]:
+    """``(marks, rows)`` for every index pair of ``(len(a), len(b))``, in
+    :func:`enum_index_pairs` order: the merged marks ``merge(pair, a, b)``
+    and their pair rows (``GroupElement.pairs``), after a flag that is
+    true when every pair merges to one and the same vector.  The exponents
+    play no part, so one mark vector pair merges, and reads its rows, once
+    for all the shapes it meets."""
+    merged = tuple((marks, tuple([m.pairs for m in marks]))
+                   for pair in enum_index_pairs(len(a), len(b))
+                   for marks in (merge(pair, a, b),))
+    return len({marks for marks, _ in merged}) == 1, merged
 
 
 def _closed_form(mu: IndexedWord, nu: IndexedWord, merge, walks) -> LinComb:
     """Sum c * (t; merged marks) over every index pair and its walked terms.
 
     ``merge(pair, a, b)`` routes the mark vectors to the target positions
-    and ``walks(r, s)`` gives every index pair with its nonzero ``(t, c)``
-    terms, in the order of :func:`_shape_walks`.  Two terms share a word
-    exactly when they share the merged marks and the composition t, and
-    the t's of one index pair are distinct, so the sum keeps one
+    and ``walks(r, s)`` gives every index pair's nonzero ``{t: c}`` terms,
+    in :func:`enum_index_pairs` order.  Two terms share a word exactly when
+    they share the merged marks and the composition t, so the sum keeps one
     ``{t: c}`` dict per merged-mark vector, the first pair of each vector
     goes in whole, and each word is built once, at the end, as the one
-    tuple of its vector's cached rows at t.  Every walked coefficient is
-    a product of nonzero binomials, so no sum vanishes.
+    tuple of its vector's cached rows at t.  When every pair merges to one
+    and the same vector (every product of unmarked words), the kernel's
+    terms are walked straight into that vector's one dict; the permutation
+    form keeps its per-pair terms, whose coefficients it recomputes.  Every
+    walked coefficient is a product of nonzero binomials, so no sum
+    vanishes.
     """
-    sums: dict = {}
-    for (marks, rows), (_, walked) in zip(
-            _merged_marks(merge, mu.marks, nu.marks),
-            walks(mu.exponents, nu.exponents)):
-        entry = sums.get(marks)
-        if entry is None:
-            sums[marks] = (rows, dict(walked))
-        else:
-            acc = entry[1]
-            get = acc.get
-            for t, c in walked:
-                acc[t] = get(t, 0) + c
+    one_class, merged = _merged_marks(merge, mu.marks, nu.marks)
+    r, s = mu.exponents, nu.exponents
+    if one_class and walks is _shape_walks:
+        acc: dict = {}
+        _lattice(r, s, [acc] * len(merged))
+        sums = ((merged[0][1], acc),)
+    else:
+        by_marks: dict = {}
+        for (marks, rows), walked in zip(merged, walks(r, s)):
+            entry = by_marks.get(marks)
+            if entry is None:
+                by_marks[marks] = (rows, walked.copy())
+            else:
+                acc = entry[1]
+                get = acc.get
+                for t, c in walked.items():
+                    acc[t] = get(t, 0) + c
+        sums = by_marks.values()
     return LinComb._wrap({_unchecked_word(map(getitem, rows, t)): c
-                          for rows, acc in sums.values()
+                          for rows, acc in sums
                           for t, c in acc.items()})
 
 
@@ -373,15 +407,13 @@ def _perm_coeff_fast(sigma: tuple[int, ...], kappa: tuple[int, ...], k: int,
     return c
 
 
-def _perm_walks(r: tuple[int, ...], s: tuple[int, ...]
-                ) -> list[tuple[IndexPair, list]]:
+def _perm_walks(r: tuple[int, ...], s: tuple[int, ...]) -> list[dict]:
     """:func:`_shape_walks` with each walked coefficient recomputed by the
     permutation formula, an independent formula for the same number."""
     k, kappa = len(r), r + s
-    return [(pair, [(t, _perm_coeff_fast(sigma, kappa, k, t))
-                    for t, _ in walked])
-            for pair, walked in _shape_walks(r, s)
-            for sigma in (sigma_of_pair(pair),)]
+    return [{t: _perm_coeff_fast(sigma, kappa, k, t) for t in walked}
+            for sigma, walked in zip(enum_shuffle_perms(k, len(s)),
+                                     _shape_walks(r, s))]
 
 
 def perm_product_b(mu: IndexedWord, nu: IndexedWord) -> LinComb:

@@ -46,14 +46,20 @@ def writer_line(writer: RelationWriter, rel: Relation, fmt: str,
     return writer.text(rel)
 
 
-def fresh_python(*args: str, stdin: str = "") -> subprocess.CompletedProcess:
-    """Run a new interpreter that imports this package's sources."""
+def source_env() -> dict:
+    """The environment with this package's sources first on the path."""
     src = os.path.dirname(os.path.dirname(doubleshuffle.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def fresh_python(*args: str, stdin: str = "") -> subprocess.CompletedProcess:
+    """Run a new interpreter that imports this package's sources."""
     return subprocess.run([sys.executable, *args], input=stdin,
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=source_env(),
+                          timeout=60)
 
 
 def mismatch(got: str, want: str):
@@ -656,6 +662,19 @@ class TestCommandLine:
         _, out, _ = self.run(capsys, "euler", "2", "3")
         assert proc.returncode == 0
         assert proc.stdout == out
+
+    def test_a_reader_that_closes_early_ends_the_stream_quietly(self):
+        # about 380 kB of JSON lines, more than the pipe and the stdout
+        # buffer hold, so the writer meets the closed pipe
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "doubleshuffle", "relations", "--weight",
+             "12", "--depth", "4", "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=source_env())
+        assert proc.stdout.readline().startswith(b'{"kind"')
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (141, b"")
 
     @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
     @pytest.mark.parametrize("weight, depth, group", [

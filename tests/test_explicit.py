@@ -13,9 +13,10 @@ from doubleshuffle import (MINUS_ONE, ONE, DomainError, GroupElement,
                            merge_marks_b, merge_marks_e, op_Q, pair_of_sigma,
                            perm_coeff, perm_product_b, product_b, product_e,
                            sigma_of_pair)
+from doubleshuffle import explicit
 from doubleshuffle.core import LinComb
-from doubleshuffle.explicit import (IndexPair, _merged_marks, _perm_walks,
-                                    _shape_walks, _walk,
+from doubleshuffle.explicit import (IndexPair, _lattice, _merged_marks,
+                                    _perm_walks, _shape_walks,
                                     amp, dagger,
                                     extend_phi_leading, extend_psi_leading,
                                     restrict_phi_leading,
@@ -371,10 +372,10 @@ def closed_form_words(mu, nu, merge, walks=_shape_walks):
     ``(word, c)``: each pair's merged marks zipped with its walked terms,
     each word built through the checking ``IndexedWord`` constructor."""
     return [(IndexedWord(zip(t, marks)), c)
-            for (marks, _), (_, walked) in zip(
-                _merged_marks(merge, mu.marks, nu.marks),
+            for (marks, _), walked in zip(
+                _merged_marks(merge, mu.marks, nu.marks)[1],
                 walks(mu.exponents, nu.exponents))
-            for t, c in walked]
+            for t, c in walked.items()]
 
 
 class TestPrunedWalk:
@@ -385,8 +386,11 @@ class TestPrunedWalk:
                     for wr in range(w + 1):
                         for r in exponent_vectors(wr, k):
                             for s in exponent_vectors(w - wr, l):
-                                for pair in enum_index_pairs(k, l):
-                                    walked = list(_walk(pair, r, s))
+                                pairs = list(enum_index_pairs(k, l))
+                                targets = [{} for _ in pairs]
+                                _lattice(r, s, targets)
+                                for pair, terms in zip(pairs, targets):
+                                    walked = list(terms.items())
                                     assert [t for t, _ in walked] == [
                                         t for t in enum_compositions(w, k + l)
                                         if coeff_nonzero(pair, r, s, t)]
@@ -469,10 +473,85 @@ class TestPrunedWalk:
             for closed, oracle in routes:
                 assert closed(mu, nu) == oracle(mu, nu), (closed.__name__, mu, nu)
             for merge in (merge_marks_b, merge_marks_e):
-                for marks, rows in _merged_marks(merge, a, b):
+                for marks, rows in _merged_marks(merge, a, b)[1]:
                     assert len(rows) == len(marks)
                     assert all(row is m.pairs for row, m in zip(rows, marks))
         assert _merged_marks.cache_info().hits > 0
+
+
+def words_up_to(weight, marks=None):
+    """Every pair of nonempty words of total weight <= ``weight``; with
+    ``marks``, each word of depth k carries ``marks(k)``, and otherwise
+    the trivial marks."""
+    words = [w for w in all_indexed_words(weight - 1) if w]
+    if marks is not None:
+        words = [IndexedWord.from_parts(w.exponents, marks(len(w)))
+                 for w in words]
+    return [(mu, nu) for mu in words for nu in words
+            if mu.weight + nu.weight <= weight]
+
+
+class TestOneSumRoute:
+    """A product whose index pairs all merge to one mark vector is walked
+    straight into one ``{t: c}`` sum; it must equal the per-pair sum."""
+
+    def check_one_sum(self, mu, nu, merge, closed):
+        one_class, _ = _merged_marks(merge, mu.marks, nu.marks)
+        assert one_class, (mu, nu)
+        got = closed(mu, nu)
+        assert got == LinComb(closed_form_words(mu, nu, merge)), (mu, nu)
+        assert got == LinComb(unpruned_terms(mu, nu, merge)), (mu, nu)
+        return got
+
+    def test_trivial_group_matches_the_per_pair_sums(self):
+        for mu, nu in words_up_to(7):
+            got_b = self.check_one_sum(mu, nu, merge_marks_b, explicit_product_b)
+            got_e = self.check_one_sum(mu, nu, merge_marks_e, explicit_product_e)
+            assert got_b == got_e == perm_product_b(mu, nu), (mu, nu)
+
+    @pytest.mark.parametrize("mark", [ONE, GroupElement(1, 3),
+                                      GroupElement(2, 3)])
+    def test_equal_marks_root_3_b_form(self, mark):
+        for mu, nu in words_up_to(6, marks=lambda k: (mark,) * k):
+            got = self.check_one_sum(mu, nu, merge_marks_b, explicit_product_b)
+            assert got == perm_product_b(mu, nu) == product_b(mu, nu), (mu, nu)
+
+    def test_perm_form_recomputes_every_walked_coefficient(self, monkeypatch):
+        mu, nu = zw(3, 1, 2), zw(2, 2)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[-1])
+            return real(*args)
+        real = explicit._perm_coeff_fast
+        monkeypatch.setattr(explicit, "_perm_coeff_fast", counted)
+        got = perm_product_b(mu, nu)
+        walked = _shape_walks(mu.exponents, nu.exponents)
+        assert calls == [t for terms in walked for t in terms]
+        assert got == explicit_product_b(mu, nu)
+
+    def test_no_route_recurses_per_position(self):
+        # far deeper than the interpreter's recursion limit
+        depth = 1100
+        ones = zw(*(1,) * depth)
+        try:
+            want = LinComb.single(zw(*(1,) * (depth + 1)), depth + 1)
+            assert explicit_product_e(ones, zw(1)) == want
+            assert explicit_product_b(zw(1), ones) == want
+            # a -1 mark: each pair merges to its own vector, with the -1
+            # at the pair's psi position
+            minus = ((1, MINUS_ONE),)
+            marked = IndexedWord(minus)
+            assert not _merged_marks(merge_marks_b, ones.marks,
+                                     marked.marks)[0]
+            want = LinComb({IndexedWord(ones[:i] + minus + ones[i:]): 1
+                            for i in range(depth + 1)})
+            assert explicit_product_b(ones, marked) == want
+            assert perm_product_b(ones, marked) == want
+        finally:
+            _merged_marks.cache_clear()
+            _shape_walks.cache_clear()
+
 
 class TestPermutationForm:
     def test_enumeration_count(self):
