@@ -672,9 +672,8 @@ class TestCommandLine:
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=source_env())
         assert proc.stdout.readline().startswith(b'{"kind"')
         proc.stdout.close()
-        err = proc.stderr.read()
-        proc.stderr.close()
-        assert (proc.wait(timeout=60), err) == (141, b"")
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (141, b"")
 
     @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
     @pytest.mark.parametrize("weight, depth, group", [
