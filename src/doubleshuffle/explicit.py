@@ -220,6 +220,8 @@ def _lattice(r: tuple[int, ...], s: tuple[int, ...], targets) -> None:
         t = r + s
         targets[0][t] = targets[0].get(t, 0) + 1
         return
+    # (t, d, c, a, b, last source was r, n); with d = 0 the run and switch
+    # readings of position 1 give the same slacks and factors
     stack = [((), 0, 1, 0, 0, True, 0)]
     pop, push = stack.pop, stack.append
     while stack:
