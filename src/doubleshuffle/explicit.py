@@ -269,6 +269,12 @@ def _shape_walks(r: tuple[int, ...], s: tuple[int, ...]) -> tuple[dict, ...]:
     return walks
 
 
+# Only merges of at most this many marks, C(k+l, k) vectors of k+l marks
+# (64 KB of references), are kept across calls; a relation loop of depth 8
+# meets at most C(8, 4) * 8 = 560.  A larger merge is made for its call.
+_KEPT_MARKS = 2 ** 13
+
+
 @lru_cache(maxsize=512)
 def _merged_marks(merge, a: tuple[GroupElement, ...], b: tuple[GroupElement, ...]
                   ) -> tuple[bool, tuple[tuple[tuple, tuple], ...]]:
@@ -300,8 +306,12 @@ def _closed_form(mu: IndexedWord, nu: IndexedWord, merge, walks) -> LinComb:
     walked coefficient is a product of nonzero binomials, so no sum
     vanishes.
     """
-    one_class, merged = _merged_marks(merge, mu.marks, nu.marks)
     r, s = mu.exponents, nu.exponents
+    n = len(r) + len(s)
+    if comb(n, len(r)) * n <= _KEPT_MARKS:
+        one_class, merged = _merged_marks(merge, mu.marks, nu.marks)
+    else:
+        one_class, merged = _merged_marks.__wrapped__(merge, mu.marks, nu.marks)
     if one_class and walks is _shape_walks:
         acc: dict = {}
         _lattice(r, s, [acc] * len(merged))

@@ -1,6 +1,8 @@
 """Coefficient calculus, index-pair machinery, and the closed-form products."""
 
+import tracemalloc
 from functools import lru_cache
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +25,7 @@ from doubleshuffle.explicit import (IndexPair, _lattice, _merged_marks,
                                     restrict_psi_leading, sharp, star)
 from doubleshuffle.maps import theta_marks
 
-from helpers import all_indexed_words, zw
+from helpers import all_indexed_words, mw, zw
 
 
 def pair_at(k, l, *positions):
@@ -533,20 +535,42 @@ class TestOneSumRoute:
         # far deeper than the interpreter's recursion limit
         depth = 1100
         ones = zw(*(1,) * depth)
+        want_ones = LinComb.single(zw(*(1,) * (depth + 1)), depth + 1)
+        # a -1 mark: each pair merges to its own vector, with the -1 at the
+        # pair's psi position
+        minus = ((1, MINUS_ONE),)
+        marked = IndexedWord(minus)
+        want_marked = LinComb({IndexedWord(ones[:i] + minus + ones[i:]): 1
+                               for i in range(depth + 1)})
+        assert not _merged_marks.__wrapped__(merge_marks_b, ones.marks,
+                                             marked.marks)[0]
         try:
-            want = LinComb.single(zw(*(1,) * (depth + 1)), depth + 1)
-            assert explicit_product_e(ones, zw(1)) == want
-            assert explicit_product_b(zw(1), ones) == want
-            # a -1 mark: each pair merges to its own vector, with the -1
-            # at the pair's psi position
-            minus = ((1, MINUS_ONE),)
-            marked = IndexedWord(minus)
-            assert not _merged_marks(merge_marks_b, ones.marks,
-                                     marked.marks)[0]
-            want = LinComb({IndexedWord(ones[:i] + minus + ones[i:]): 1
-                            for i in range(depth + 1)})
-            assert explicit_product_b(ones, marked) == want
-            assert perm_product_b(ones, marked) == want
+            assert explicit_product_e(ones, zw(1)) == want_ones
+            assert explicit_product_b(zw(1), ones) == want_ones
+            tracemalloc.start()
+            try:
+                assert explicit_product_b(ones, marked) == want_marked
+                # a multi-class product moves the one-entry shape cache on;
+                # the deep merge, past _KEPT_MARKS, was never kept
+                explicit_product_b(zw(2), mw((2,), (MINUS_ONE,)))
+                held, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert held < 2 ** 20
+            assert perm_product_b(ones, marked) == want_marked
+        finally:
+            _shape_walks.cache_clear()
+
+    def test_only_small_merges_are_kept(self):
+        minus = mw((1,) * 4, (MINUS_ONE,) * 4)
+        _merged_marks.cache_clear()
+        try:
+            # C(12, 4) * 12 = 5,940 marks are kept, C(13, 4) * 13 = 9,295 not
+            assert comb(12, 4) * 12 <= explicit._KEPT_MARKS < comb(13, 4) * 13
+            explicit_product_e(zw(*(1,) * 8), minus)
+            assert _merged_marks.cache_info().currsize == 1
+            explicit_product_e(zw(*(1,) * 9), minus)
+            assert _merged_marks.cache_info().currsize == 1
         finally:
             _merged_marks.cache_clear()
             _shape_walks.cache_clear()

@@ -5,21 +5,23 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from itertools import product as iter_product
 
 import pytest
 
 from doubleshuffle import (MINUS_ONE, ONE, DomainError, GroupElement,
                            IndexedWord, LinComb, Relation, binomial,
-                           double_shuffle_relations, euler_relation,
-                           explicit_product_e, group_elements,
+                           double_shuffle_relations, enum_compositions,
+                           euler_relation, explicit_product_e, group_elements,
                            hoffman_difference, lambda_numeric, mpl_numeric,
                            quasi_shuffle, textio, theta, values,
                            verify_relation_numeric, worked_examples)
 from doubleshuffle.maps import theta_inv_marks
-from doubleshuffle.values import admissible_words, relation_stream
+from doubleshuffle.values import (admissible_words, indexed_words,
+                                  relation_stream)
 
 from bruteforce import loop_mpl, loop_partial_sums
-from helpers import mw, zw
+from helpers import full_depth_relations, mw, zw
 
 N = 100_000
 
@@ -103,21 +105,51 @@ class TestDoubleShuffleRelations:
         assert streamed[len(rels):] == [r for r in hoffman if r.combination]
 
     @pytest.mark.parametrize("weight, depth, order",
-                             [(7, 3, 2), (6, 4, 3), (8, 2, 1), (5, 1, 2)])
+                             [(w, d, order) for order in (1, 2, 3)
+                              for w in range(1, 10) for d in range(1, 6)])
     def test_every_unordered_pair_within_the_depth(self, weight, depth, order):
-        expected = []
-        for wa in range(1, weight // 2 + 1):
-            words_a = admissible_words(wa, depth, order)
-            words_b = admissible_words(weight - wa, depth, order)
-            for ia, mu in enumerate(words_a):
-                for nu in words_b[ia if 2 * wa == weight else 0:]:
-                    if mu.depth + nu.depth <= depth:
-                        diff = explicit_product_e(mu, nu) - quasi_shuffle(mu, nu)
-                        if diff:
-                            expected.append(
-                                Relation("double-shuffle", (mu, nu), diff))
-        assert expected or depth == 1
-        assert double_shuffle_relations(weight, depth, order) == expected
+        # against every weight class listed up front to the full depth, with
+        # the Hoffman differences on and off in a checkerboard
+        hoffman = (weight + depth) % 2 == 0
+        expected = full_depth_relations(weight, depth, order, hoffman)
+        assert list(relation_stream(weight, depth, order, hoffman)) == expected
+        pairs = [r for r in expected if r.kind == "double-shuffle"]
+        if depth == 1 or weight == 1:
+            assert not pairs
+        elif weight == 2:
+            # only pairs of weight-one words, which need a nontrivial mark
+            assert bool(pairs) == (order > 1)
+        elif weight >= 4:
+            assert pairs
+
+    def test_first_relation_lists_two_classes_short_of_the_depth(
+            self, monkeypatch):
+        calls = []
+
+        def recorded(*args):
+            calls.append(args)
+            return admissible_words(*args)
+
+        monkeypatch.setattr(values, "admissible_words", recorded)
+        first = next(relation_stream(9, 5, 3))
+        assert calls == [(1, 4, 3), (8, 4, 3)]
+        assert first.factors == (mw((1,), (GroupElement(1, 3),)), zw(8))
+
+    @pytest.mark.parametrize("weight, depth, order",
+                             [(5, 3, 3), (6, 2, 4), (4, 4, 1), (7, 1, 2),
+                              (2, 3, 2), (3, 0, 1)])
+    def test_indexed_words_are_the_marks_shared_pairs(self, weight, depth,
+                                                       order):
+        marks = group_elements(order)
+        words = indexed_words(weight, depth, order)
+        assert words == [IndexedWord.from_parts(comp, ms)
+                         for comp in enum_compositions(weight, depth)
+                         for ms in iter_product(marks, repeat=depth)]
+        assert bool(words) == (1 <= depth <= weight)
+        for word in words:
+            assert type(word) is IndexedWord
+            assert all(word[i] is mark.pairs[s]
+                       for i, (s, mark) in enumerate(word))
 
     def test_sign_group_runs(self):
         rels = double_shuffle_relations(4, 2, order=2)
