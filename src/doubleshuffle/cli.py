@@ -1,5 +1,9 @@
 """Command line surface.
 
+One command runs per process, so :func:`build_parser` builds the subparser
+of that command alone, from the table ``_SUBCOMMANDS``; help, usage and
+error texts are the same as with all seven built.
+
 Exit status: 0 on success, 1 when ``verify`` finds a failing relation,
 2 on malformed input (word syntax, JSON, argument domain, or nesting too deep),
 141 (128 + SIGPIPE) when the reader closes stdout early, with nothing on
@@ -140,58 +144,41 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json", "latex"),
-                        default="text", help="output format")
-    common.add_argument("--group", default="trivial",
-                        help="mark group: trivial, sign or root:N")
-    two_words = argparse.ArgumentParser(add_help=False, parents=[common])
-    two_words.add_argument("left")
-    two_words.add_argument("right")
+def _add_product(p: argparse.ArgumentParser, product=None) -> None:
+    p.add_argument("left")
+    p.add_argument("right")
+    p.set_defaults(func=_cmd_product, product=product)
 
-    parser = argparse.ArgumentParser(
-        prog="doubleshuffle",
-        description="Exact double-shuffle products and relations among "
-                    "nested-series values.")
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("shuffle", parents=[two_words],
-                       help="interleaving product of two letter words")
+def _add_explicit(p: argparse.ArgumentParser) -> None:
+    _add_product(p)
+    p.add_argument("--form", choices=_CLOSED_FORMS, default="e",
+                   help="plain (b) or quotient (e) mark coordinates")
+
+
+def _add_shuffle(p: argparse.ArgumentParser) -> None:
+    p.add_argument("left")
+    p.add_argument("right")
     p.add_argument("--as-indexed", action="store_true",
                    help="re-encode the result as index words")
     p.set_defaults(func=_cmd_shuffle)
 
-    p = sub.add_parser("stuffle", parents=[two_words],
-                       help="merge product of two index words")
-    p.set_defaults(func=_cmd_product, product=quasi_shuffle)
 
-    p = sub.add_parser("explicit", parents=[two_words],
-                       help="closed-form product of two index words")
-    p.add_argument("--form", choices=_CLOSED_FORMS, default="e",
-                   help="plain (b) or quotient (e) mark coordinates")
-    p.set_defaults(func=_cmd_product, product=None)
-
-    p = sub.add_parser("perm-form", parents=[two_words],
-                       help="b-form product via shuffle permutations")
-    p.set_defaults(func=_cmd_product, product=perm_product_b)
-
-    p = sub.add_parser("euler", parents=[common],
-                       help="two-term decomposition of a depth-1 product")
+def _add_euler(p: argparse.ArgumentParser) -> None:
     p.add_argument("r", type=int)
     p.add_argument("s", type=int)
     p.set_defaults(func=_cmd_euler)
 
-    p = sub.add_parser("relations", parents=[common],
-                       help="stream double-shuffle relations")
+
+def _add_relations(p: argparse.ArgumentParser) -> None:
     p.add_argument("--weight", type=int, required=True)
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--hoffman", action="store_true",
                    help="also emit the divergent-word differences")
     p.set_defaults(func=_cmd_relations)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="numerically verify relations read as JSON lines")
+
+def _add_verify(p: argparse.ArgumentParser) -> None:
     p.add_argument("--terms", type=int, default=100000,
                    help="most terms taken of each series a value is "
                         "summed from")
@@ -202,12 +189,54 @@ def build_parser() -> argparse.ArgumentParser:
                    help="file with one JSON relation per line (default stdin)")
     p.set_defaults(func=_cmd_verify)
 
+
+# name -> (help line, function that adds the subparser's own arguments,
+# after the --format and --group that every subparser has)
+_SUBCOMMANDS = {
+    "shuffle": ("interleaving product of two letter words", _add_shuffle),
+    "stuffle": ("merge product of two index words",
+                lambda p: _add_product(p, quasi_shuffle)),
+    "explicit": ("closed-form product of two index words", _add_explicit),
+    "perm-form": ("b-form product via shuffle permutations",
+                  lambda p: _add_product(p, perm_product_b)),
+    "euler": ("two-term decomposition of a depth-1 product", _add_euler),
+    "relations": ("stream double-shuffle relations", _add_relations),
+    "verify": ("numerically verify relations read as JSON lines", _add_verify),
+}
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of the command line ``argv``.
+
+    When ``argv`` starts with a subcommand's name, only that subparser is
+    built; otherwise (no arguments, ``-h``, an unknown name, a leading
+    option, or no ``argv`` at all) all of them are, so that help and errors
+    list every subcommand.
+    """
+    parser = argparse.ArgumentParser(
+        prog="doubleshuffle",
+        description="Exact double-shuffle products and relations among "
+                    "nested-series values.")
+    one = bool(argv) and argv[0] in _SUBCOMMANDS
+    # The top parser's usage line (printed on unrecognized arguments) names
+    # every subcommand, however many subparsers are built.
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_SUBCOMMANDS) + "}" if one else None)
+    for name in argv[:1] if one else _SUBCOMMANDS:
+        help_line, add_arguments = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        p.add_argument("--format", choices=("text", "json", "latex"),
+                       default="text", help="output format")
+        p.add_argument("--group", default="trivial",
+                       help="mark group: trivial, sign or root:N")
+        add_arguments(p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         args.order = _group_order(args.group)
         return args.func(args)
@@ -219,6 +248,10 @@ def main(argv: list[str] | None = None) -> int:
         # flush of what is still buffered, at exit, prints nothing.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    finally:
+        # argparse opened ``verify --input``; "-" is stdin, left open
+        if getattr(args, "input", None) not in (None, sys.stdin):
+            args.input.close()
 
 
 if __name__ == "__main__":

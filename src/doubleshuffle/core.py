@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 import threading
 import weakref
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import partial
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Mapping
 
 
 class DomainError(ValueError):

@@ -15,38 +15,36 @@ terms of shuffle permutations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import combinations, pairwise
 from math import comb
 from operator import getitem
-from typing import Iterator
 
 from .core import (ONE, DomainError, GroupElement, IndexedWord, LinComb,
                    _unchecked_word, binomial)
 
 
-@dataclass(frozen=True)
-class IndexPair:
+class IndexPair(namedtuple("IndexPair", "k l phi_mask")):
     """A splitting of positions 1..k+l into a k-set (phi) and its complement (psi).
 
     ``phi_mask`` has bit ``i-1`` set iff position ``i`` lies in the image of
     phi; phi and psi themselves are the order-preserving enumerations of the
-    two sets, so the mask determines the pair completely.
+    two sets, so the mask determines the pair completely.  ``k``, ``l`` and
+    ``phi_mask`` are ints.
     """
 
-    k: int
-    l: int
-    phi_mask: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = self.k + self.l
-        if self.k < 0 or self.l < 0:
+    def __new__(cls, k: int, l: int, phi_mask: int) -> "IndexPair":
+        if k < 0 or l < 0:
             raise ValueError("k and l must be >= 0")
-        if self.phi_mask < 0 or self.phi_mask >> n:
+        if phi_mask < 0 or phi_mask >> (k + l):
             raise ValueError("mask has bits outside 1..k+l")
-        if self.phi_mask.bit_count() != self.k:
+        if phi_mask.bit_count() != k:
             raise ValueError("mask size does not match k")
+        return super().__new__(cls, k, l, phi_mask)
 
     @classmethod
     def from_phi_image(cls, k: int, l: int, positions: Iterator[int]) -> "IndexPair":

@@ -30,11 +30,11 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import product as iter_product
 from operator import getitem, truediv
-from typing import Iterator
 
 from .core import (MINUS_ONE, ONE, DomainError, GroupElement, IndexedWord,
                    LinComb, _unchecked_word, binomial, group_elements)
@@ -46,18 +46,18 @@ ZERO_SUM_KINDS = frozenset({"double-shuffle", "hoffman"})
 PRODUCT_KINDS = frozenset({"euler", "product"})
 
 
-@dataclass(frozen=True)
-class Relation:
-    """An identity among values: which words were multiplied, which products
-    were taken (the ``kind``), and the resulting integer combination."""
+class Relation(namedtuple("Relation", "kind factors combination")):
+    """An identity among values: which words were multiplied (``factors``, a
+    tuple of index words), which products were taken (the ``kind``), and the
+    resulting integer combination (a ``LinComb``)."""
 
-    kind: str
-    factors: tuple[IndexedWord, ...]
-    combination: LinComb
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ZERO_SUM_KINDS | PRODUCT_KINDS:
-            raise ValueError(f"unknown relation kind {self.kind!r}")
+    def __new__(cls, kind: str, factors: tuple[IndexedWord, ...],
+                combination: LinComb) -> "Relation":
+        if kind not in ZERO_SUM_KINDS | PRODUCT_KINDS:
+            raise ValueError(f"unknown relation kind {kind!r}")
+        return super().__new__(cls, kind, factors, combination)
 
     @property
     def is_zero_sum(self) -> bool:
@@ -69,22 +69,22 @@ class Relation:
         return f"{self.kind}[{inside}]"
 
 
-@dataclass(frozen=True)
-class NumericValue:
-    """A nested sum: its value, the most terms one of its series took, and a
-    certified bound on its error (the tails left off plus the rounding)."""
+class NumericValue(namedtuple("NumericValue",
+                              "value truncation_n tail_estimate")):
+    """A nested sum: its value (complex), the most terms one of its series
+    took, and a certified bound on its error (the tails left off plus the
+    rounding)."""
 
-    value: complex
-    truncation_n: int
-    tail_estimate: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    residual: float
-    bound: float
-    passed: bool
-    truncation_n: int
+class VerificationReport(namedtuple("VerificationReport",
+                                    "residual bound passed truncation_n")):
+    """A relation's residual, the bound it is held to (the tolerance plus
+    the certified error), whether the residual is within it, and the most
+    terms one of its series took."""
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +104,7 @@ def euler_relation(r: int, s: int) -> Relation:
     """
     if r < 2 or s < 2:
         raise DomainError("both exponents must be >= 2")
-    return replace(_depth_1_1_marked(r, s, ONE), kind="euler")
+    return _depth_1_1_marked(r, s, ONE)._replace(kind="euler")
 
 
 def indexed_words(weight: int, depth: int, order: int = 1) -> list[IndexedWord]:

@@ -1,8 +1,11 @@
 """Word grammar, emitters, and the command line surface."""
 
+import argparse
 import hashlib
+import io
 import json
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -663,6 +666,26 @@ class TestCommandLine:
         assert proc.returncode == 0
         assert proc.stdout == out
 
+    @pytest.mark.parametrize("extra, code, err", [
+        ((), 0, ""),
+        (("--group", "bogus"), 2,
+         "error: unknown group 'bogus' (use trivial, sign or root:N)\n")])
+    def test_verify_closes_its_input_file(self, tmp_path, extra, code, err):
+        stream = tmp_path / "zero.jsonl"
+        stream.write_text('{"kind": "double-shuffle", "factors": [], '
+                          '"terms": []}\n')
+        proc = fresh_python("-X", "dev", "-W", "error::ResourceWarning",
+                            "-m", "doubleshuffle", "verify", "--input",
+                            str(stream), *extra)
+        assert (proc.returncode, proc.stderr) == (code, err)
+
+    def test_verify_leaves_stdin_open(self, capsys, monkeypatch):
+        stdin = io.StringIO("")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, _ = self.run(capsys, "verify", "--input", "-")
+        assert (code, out) == (0, "0/0 relations verified\n")
+        assert not stdin.closed
+
     def test_a_reader_that_closes_early_ends_the_stream_quietly(self):
         # about 380 kB of JSON lines, more than the pipe and the stdout
         # buffer hold, so the writer meets the closed pipe
@@ -829,3 +852,116 @@ class TestStartWithoutNumpy:
         ]))
         assert proc.returncode == 0, proc.stderr
         assert set(NUMERIC_NAMES) <= set(doubleshuffle.__all__)
+
+
+CLI_TEXTS = json.loads((pathlib.Path(__file__).parent / "cli_texts.json")
+                       .read_text(encoding="utf-8"))
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The CLI's parser as one construction of all seven subparsers, their
+    shared options taken from argparse parent parsers: the texts of a
+    parser built for one command are checked against it."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("text", "json", "latex"),
+                        default="text", help="output format")
+    common.add_argument("--group", default="trivial",
+                        help="mark group: trivial, sign or root:N")
+    two_words = argparse.ArgumentParser(add_help=False, parents=[common])
+    two_words.add_argument("left")
+    two_words.add_argument("right")
+    parser = argparse.ArgumentParser(
+        prog="doubleshuffle",
+        description="Exact double-shuffle products and relations among "
+                    "nested-series values.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("shuffle", parents=[two_words],
+                       help="interleaving product of two letter words")
+    p.add_argument("--as-indexed", action="store_true",
+                   help="re-encode the result as index words")
+    sub.add_parser("stuffle", parents=[two_words],
+                   help="merge product of two index words")
+    p = sub.add_parser("explicit", parents=[two_words],
+                       help="closed-form product of two index words")
+    p.add_argument("--form", choices=("b", "e"), default="e",
+                   help="plain (b) or quotient (e) mark coordinates")
+    sub.add_parser("perm-form", parents=[two_words],
+                   help="b-form product via shuffle permutations")
+    p = sub.add_parser("euler", parents=[common],
+                       help="two-term decomposition of a depth-1 product")
+    p.add_argument("r", type=int)
+    p.add_argument("s", type=int)
+    p = sub.add_parser("relations", parents=[common],
+                       help="stream double-shuffle relations")
+    p.add_argument("--weight", type=int, required=True)
+    p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--hoffman", action="store_true",
+                   help="also emit the divergent-word differences")
+    p = sub.add_parser("verify", parents=[common],
+                       help="numerically verify relations read as JSON lines")
+    p.add_argument("--terms", type=int, default=100000,
+                   help="most terms taken of each series a value is "
+                        "summed from")
+    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--allow-conditional", action="store_true",
+                   help="sum conditionally convergent words too")
+    p.add_argument("--input", type=argparse.FileType("r"), default=None,
+                   help="file with one JSON relation per line (default stdin)")
+    return parser
+
+
+def built_subcommands(parser: argparse.ArgumentParser) -> list[str]:
+    sub, = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+class TestArgumentContract:
+    """Help, usage and error texts, with ``COLUMNS=80``.  They are recorded
+    in ``cli_texts.json`` from the seven-subparser build under one Python;
+    since argparse words some of them differently in other versions, every
+    version compares them with :func:`reference_parser` as well."""
+
+    @staticmethod
+    def texts(monkeypatch, capsys, tmp_path, parse, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)  # no-such-file.jsonl is missing here
+        with pytest.raises(SystemExit) as exc:
+            parse(list(argv))
+        out = capsys.readouterr()
+        return {"code": exc.value.code, "stdout": out.out, "stderr": out.err}
+
+    @pytest.mark.parametrize("case", CLI_TEXTS["cases"],
+                             ids=lambda c: " ".join(c["argv"]) or "(none)")
+    def test_texts_match_the_seven_subparser_build(
+            self, monkeypatch, capsys, tmp_path, case):
+        got = self.texts(monkeypatch, capsys, tmp_path, main, case["argv"])
+        want = self.texts(monkeypatch, capsys, tmp_path,
+                          lambda argv: reference_parser().parse_args(argv),
+                          case["argv"])
+        assert got == want
+        if list(sys.version_info[:2]) == CLI_TEXTS["python"]:
+            assert got == {k: case[k] for k in ("code", "stdout", "stderr")}
+
+    def test_a_named_subcommand_builds_only_its_subparser(self):
+        every = built_subcommands(reference_parser())
+        assert built_subcommands(cli.build_parser()) == every
+        assert len(every) == 7
+        for name in every:
+            assert built_subcommands(cli.build_parser([name])) == [name]
+            assert built_subcommands(
+                cli.build_parser([name, "--format", "json"])) == [name]
+        for argv in ([], ["-h"], ["--help"], ["frobnicate"], ["rel"],
+                     ["--format", "json", "relations"]):
+            assert built_subcommands(cli.build_parser(argv)) == every
+
+    def test_cli_import_loads_no_dataclasses_inspect_or_typing(self):
+        """``-S`` keeps ``site`` out, which may import ``typing`` itself."""
+        src = os.path.dirname(os.path.dirname(doubleshuffle.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c",
+             "import sys; sys.path.insert(0, sys.argv[1]); "
+             "import doubleshuffle.cli; print(sorted({'dataclasses', "
+             "'inspect', 'typing'} & set(sys.modules)))", src],
+            capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -1,6 +1,8 @@
 """Relation generators, numeric values and their verification."""
 
 import math
+import pickle
+import re
 import sys
 import threading
 import tracemalloc
@@ -16,8 +18,10 @@ from doubleshuffle import (MINUS_ONE, ONE, DomainError, GroupElement,
                            hoffman_difference, lambda_numeric, mpl_numeric,
                            quasi_shuffle, textio, theta, values,
                            verify_relation_numeric, worked_examples)
+from doubleshuffle.explicit import IndexPair
 from doubleshuffle.maps import theta_inv_marks
-from doubleshuffle.values import (admissible_words, indexed_words,
+from doubleshuffle.values import (NumericValue, VerificationReport,
+                                  admissible_words, indexed_words,
                                   relation_stream)
 
 from bruteforce import loop_mpl, loop_partial_sums
@@ -738,3 +742,89 @@ class TestVerification:
             for rel in double_shuffle_relations(weight, 3):
                 report = verify_relation_numeric(rel, N, 1e-3)
                 assert report.passed, (rel.label, report)
+
+
+# Each record, two equal copies of it, an unequal one, and its repr.
+RECORDS = {
+    "IndexPair": (lambda: IndexPair(2, 1, 3), IndexPair(2, 1, 5),
+                  "IndexPair(k=2, l=1, phi_mask=3)"),
+    "Relation": (lambda: euler_relation(2, 3), euler_relation(3, 2),
+                 "Relation(kind='euler', factors=(IndexedWord('(2)'), "
+                 "IndexedWord('(3)')), combination=LinComb(1*(2,3) + "
+                 "3*(3,2) + 6*(4,1)))"),
+    "NumericValue": (lambda: NumericValue(1.5 + 0j, 61, 2.5e-15),
+                     NumericValue(1.5 + 0j, 62, 2.5e-15),
+                     "NumericValue(value=(1.5+0j), truncation_n=61, "
+                     "tail_estimate=2.5e-15)"),
+    "VerificationReport": (lambda: VerificationReport(
+                               residual=0.0, bound=1e-3, passed=True,
+                               truncation_n=1000),
+                           VerificationReport(0.5, 1e-3, False, 1000),
+                           "VerificationReport(residual=0.0, bound=0.001, "
+                           "passed=True, truncation_n=1000)"),
+}
+
+
+class TestRecords:
+    """The four records keep the repr, equality, hash, immutability and
+    validation they had as frozen dataclasses, and pickle."""
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_repr_and_equality(self, name):
+        make, other, text = RECORDS[name]
+        one, two = make(), make()
+        assert type(one).__name__ == name
+        assert repr(one) == text
+        assert one == two and not one != two
+        assert one != other
+
+    @pytest.mark.parametrize("name", ["IndexPair", "NumericValue",
+                                      "VerificationReport"])
+    def test_hash_is_the_field_tuple_hash(self, name):
+        make, other, _ = RECORDS[name]
+        one = make()
+        fields = tuple(getattr(one, f) for f in one.__match_args__)
+        assert hash(one) == hash(make()) == hash(fields)
+        assert len({one, make(), other}) == 2
+
+    def test_relation_is_unhashable_like_its_combination(self):
+        with pytest.raises(TypeError):
+            hash(euler_relation(2, 3))
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_fields_cannot_be_assigned(self, name):
+        one = RECORDS[name][0]()
+        for field in one.__match_args__:
+            with pytest.raises(AttributeError):
+                setattr(one, field, None)
+        with pytest.raises(AttributeError):
+            one.extra = 1
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_pickle_round_trip(self, name):
+        one = RECORDS[name][0]()
+        back = pickle.loads(pickle.dumps(one))
+        assert type(back) is type(one)
+        assert back == one and repr(back) == repr(one)
+
+    @pytest.mark.parametrize("args, message", [
+        ((-1, 0, 0), "k and l must be >= 0"),
+        ((1, -1, 1), "k and l must be >= 0"),
+        ((1, 1, 4), "mask has bits outside 1..k+l"),
+        ((1, 1, -1), "mask has bits outside 1..k+l"),
+        ((1, 1, 3), "mask size does not match k"),
+    ])
+    def test_index_pair_validation(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            IndexPair(*args)
+
+    def test_relation_validation(self):
+        with pytest.raises(ValueError,
+                           match=r"^unknown relation kind 'bogus'$"):
+            Relation("bogus", (zw(2),), LinComb.single(zw(2)))
+        with pytest.raises(ValueError):
+            Relation(kind="bogus", factors=(), combination=LinComb())
+
+    def test_euler_relation_keeps_its_type(self):
+        rel = euler_relation(2, 3)
+        assert type(rel) is Relation and rel.kind == "euler"
