@@ -27,7 +27,7 @@ from math import comb
 from .core import (DomainError, GroupElement, IndexedWord, LinComb, ShuffleWord,
                    _unchecked_word)
 
-# functools' cache_info() shape, also for values.mpl_numeric
+# functools' cache_info() shape, for shuffle's summed counts
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 # hits and misses of every _shuffle_letters call so far, under the lock
 _shuffle_counts = [0, 0]

@@ -19,7 +19,7 @@ import json
 from functools import lru_cache
 
 from .core import ONE, GroupElement, IndexedWord, LinComb, ShuffleWord
-from .values import PRODUCT_KINDS, ZERO_SUM_KINDS, Relation
+from .values import RELATION_KINDS, Relation
 
 
 class WordSyntaxError(ValueError):
@@ -336,7 +336,7 @@ def relation_from_json(d: dict) -> Relation:
     if not isinstance(d, dict):
         raise WordSyntaxError("a relation must be a JSON object", str(d), 0)
     kind = d.get("kind", "double-shuffle")
-    if not isinstance(kind, str) or kind not in ZERO_SUM_KINDS | PRODUCT_KINDS:
+    if not isinstance(kind, str) or kind not in RELATION_KINDS:
         raise WordSyntaxError(f"unknown relation kind {kind!r}", str(d), 0)
     for key in ("factors", "terms"):
         items = d.get(key, [])

@@ -28,7 +28,6 @@ per-level bounds of :func:`_chain`.
 from __future__ import annotations
 
 import math
-import threading
 from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Iterator
@@ -40,10 +39,11 @@ from .core import (MINUS_ONE, ONE, DomainError, GroupElement, IndexedWord,
                    LinComb, _unchecked_word, binomial, group_elements)
 from .explicit import enum_compositions, explicit_product_e
 from .maps import theta, theta_inv_marks
-from .recursive import _CacheInfo, quasi_shuffle
+from .recursive import quasi_shuffle
 
 ZERO_SUM_KINDS = frozenset({"double-shuffle", "hoffman"})
 PRODUCT_KINDS = frozenset({"euler", "product"})
+RELATION_KINDS = ZERO_SUM_KINDS | PRODUCT_KINDS
 
 
 class Relation(namedtuple("Relation", "kind factors combination")):
@@ -55,7 +55,7 @@ class Relation(namedtuple("Relation", "kind factors combination")):
 
     def __new__(cls, kind: str, factors: tuple[IndexedWord, ...],
                 combination: LinComb) -> "Relation":
-        if kind not in ZERO_SUM_KINDS | PRODUCT_KINDS:
+        if kind not in RELATION_KINDS:
             raise ValueError(f"unknown relation kind {kind!r}")
         return super().__new__(cls, kind, factors, combination)
 
@@ -295,15 +295,9 @@ _SAFETY = 1 + 2.0 ** -20
 1e-6, and the rounding of the bound's own arithmetic."""
 
 _CACHE_SIZE = 4096
-# (word, n_terms, allow_conditional) -> NumericValue, least recently used first.
-_cache: dict[tuple[IndexedWord, int, bool], NumericValue] = {}
-# mpl_numeric calls answered by _cache, and words summed by _fill to fill it
-_hits = 0
-_misses = 0
-# held wherever _cache, _hits or _misses change, never across a sum
-_lock = threading.Lock()
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def mpl_numeric(word: IndexedWord, n_terms: int,
                 allow_conditional: bool = False) -> NumericValue:
     """The nested sum  sum_{n1 > ... > nk >= 1} prod z_i^{n_i} / n_i^{s_i},
@@ -314,96 +308,25 @@ def mpl_numeric(word: IndexedWord, n_terms: int,
     (absolutely convergent); a leading exponent 1 with a non-identity mark
     is only summed when ``allow_conditional`` is set, and refused even then
     when its series would need more than ``n_terms`` terms.  The empty word
-    evaluates to 1 exactly.  Values are cached per ``(word, n_terms,
-    allow_conditional)``; the 4096 most recently used are kept, and threads
-    may share the cache.  ``mpl_numeric.cache_info()`` counts as hits the
-    calls the cache answers and as misses the words summed to fill it, here
-    or for a whole relation at once.
+    evaluates to 1 exactly.  Values are cached by ``functools.lru_cache``,
+    the 4096 most recently used; the package passes all three arguments
+    positionally, so each value has one key.  ``cache_info()`` counts as
+    misses the calls that ran the body, refused ones included, and
+    ``__wrapped__`` is the uncached function.
     """
-    global _hits
-    key = (word, n_terms, allow_conditional)
-    with _lock:
-        val = _cache.pop(key, None)
-        if val is not None:
-            _hits += 1
-            _cache[key] = val
-            return val
-    error = _refusal(word, n_terms, allow_conditional)
-    if error is not None:
-        raise error
-    return _fill([word], n_terms, allow_conditional)[0]
-
-
-def _evaluate(word: IndexedWord, n_terms: int,
-              allow_conditional: bool) -> NumericValue:
-    """:func:`mpl_numeric` without the value cache."""
-    error = _refusal(word, n_terms, allow_conditional)
-    if error is not None:
-        raise error
-    return _sum(word, n_terms)
-
-
-# Only perfbench/selfcheck.py reads this: it swaps the uncached evaluation
-# in for mpl_numeric, under the name functools gives it on a cached function.
-mpl_numeric.__wrapped__ = _evaluate
-mpl_numeric.cache_info = lambda: _CacheInfo(_hits, _misses, _CACHE_SIZE,
-                                            len(_cache))
-
-
-def _fill(words: list[IndexedWord], n_terms: int,
-          allow_conditional: bool) -> list[NumericValue]:
-    """Sum ``words``, distinct and none refused, count them as misses and
-    cache their values as the most recently used, evicting the least;
-    return the values."""
-    global _misses
-    vals = [_sum(word, n_terms) for word in words]
-    with _lock:
-        _misses += len(words)
-        for word, val in zip(words, vals):
-            if len(_cache) >= _CACHE_SIZE:
-                del _cache[next(iter(_cache))]
-            _cache[word, n_terms, allow_conditional] = val
-    return vals
-
-
-def _prefill(words, n_terms: int, allow_conditional: bool) -> None:
-    """Cache the values of ``words`` in one fill, so that the
-    :func:`mpl_numeric` calls that follow, in the same order, all hit.
-
-    Summing stops at the first word :func:`mpl_numeric` refuses: the
-    uncached words before it are cached, as the calls before the refusing
-    one would cache them, and none after it are summed.  A cached word is
-    only looked up, not made the most recently used, so a fill that
-    evicts it leaves its call to sum it again.
-    """
-    missing: dict[IndexedWord, None] = {}
-    with _lock:
-        for word in words:
-            if (word, n_terms, allow_conditional) in _cache:
-                continue
-            if _refusal(word, n_terms, allow_conditional) is not None:
-                break
-            missing[word] = None
-    if missing:
-        _fill(list(missing), n_terms, allow_conditional)
-
-
-def _refusal(word: IndexedWord, n_terms: int,
-             allow_conditional: bool) -> Exception | None:
-    """The error :func:`mpl_numeric` refuses ``word`` with, if any."""
     if word.depth == 0:
-        return None
+        return _sum(word, n_terms)
     if not word.is_admissible:
-        return DomainError(f"{word} is not admissible")
+        raise DomainError(f"{word} is not admissible")
     if n_terms < 1:
-        return ValueError("need at least one term")
+        raise ValueError("need at least one term")
     if word[0][0] == 1:
         if not allow_conditional:
-            return DomainError(f"{word} converges only conditionally")
+            raise DomainError(f"{word} converges only conditionally")
         if _plan(_parts(word), n_terms) is None:
-            return DomainError(f"{word} converges only conditionally, and "
-                               f"too slowly to sum in {n_terms} terms")
-    return None
+            raise DomainError(f"{word} converges only conditionally, and "
+                              f"too slowly to sum in {n_terms} terms")
+    return _sum(word, n_terms)
 
 
 def _parts(word: IndexedWord) -> list[tuple[int, GroupElement]]:
@@ -414,7 +337,7 @@ def _parts(word: IndexedWord) -> list[tuple[int, GroupElement]]:
 
 
 def _sum(word: IndexedWord, n_terms: int) -> NumericValue:
-    """The value of a word :func:`_refusal` accepts, by Hölder convolution.
+    """The value of a word :func:`mpl_numeric` accepts, by Hölder convolution.
 
     Borwein, Bradley, Broadhurst and Lisoněk, "Special values of multiple
     polylogarithms", Trans. AMS 353 (2001), section 7.  With the marks b_j
@@ -725,13 +648,11 @@ def verify_relation_numeric(rel: Relation, n_terms: int, tol: float,
     for zero sums it is |combination|.  The pass bound is ``tol`` plus a
     certified bound on the residual of a true relation: the values' error
     bounds carried through the combination and the product of the factors,
-    and the rounding of that arithmetic.  The words not yet cached are
-    first summed together.
+    and the rounding of that arithmetic.  Each word is looked up once, the
+    terms and then the factors, so the first refused word raises after the
+    words before it are cached.
     """
     terms = rel.combination.items()
-    factors = () if rel.is_zero_sum else rel.factors
-    _prefill([word for word, _ in terms] + list(factors), n_terms,
-             allow_conditional)
     total = 0.0 + 0j
     error = mass = 0.0
     for word, c in terms:
@@ -752,14 +673,14 @@ def verify_relation_numeric(rel: Relation, n_terms: int, tol: float,
         lhs = 1.0 + 0j
         size = 1.0  # prod |v| over the factors so far
         spread = 0.0  # prod (|v| + e) - prod |v| over them
-        for factor in factors:
+        for factor in rel.factors:
             val = mpl_numeric(factor, n_terms, allow_conditional)
             lhs *= val.value
             spread = (spread * (abs(val.value) + val.tail_estimate)
                       + size * val.tail_estimate)
             size *= abs(val.value)
         # each product after the first rounds, by up to 2 sqrt 2 units
-        error += spread + _U * 3 * max(len(factors) - 1, 0) * size
+        error += spread + _U * 3 * max(len(rel.factors) - 1, 0) * size
     residual = abs(lhs - total)
     bound = tol + error * _SAFETY
     return VerificationReport(residual=residual, bound=bound,

@@ -769,6 +769,28 @@ class TestCommandLine:
             "4d24cfedc44c3a5a3df36df0076c9d63"
             "84eebbc418ac6c7e61caaff464081b6a")
 
+    def test_verify_json_bytes_are_pinned_at_bench_settings(self, capsys,
+                                                             tmp_path):
+        """sha256 of verify's JSON lines on the weight-8 sign stream of the
+        verify-sign benchmark, at its --terms 100000 and --tol 1e-3: 159
+        lines through the value cache, 46 of them skipped as conditionally
+        convergent."""
+        code, out, _ = self.run(capsys, "relations", "--weight", "8",
+                                "--depth", "3", "--group", "sign",
+                                "--hoffman", "--format", "json")
+        assert code == 0
+        stream = tmp_path / "sign.jsonl"
+        stream.write_text(out)
+        code, out, _ = self.run(capsys, "verify", "--format", "json",
+                                "--terms", "100000", "--tol", "1e-3",
+                                "--input", str(stream))
+        assert code == 0
+        assert len(out.splitlines()) == 159
+        assert out.count('"skipped"') == 46
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f54bbe6320fb26d4ef87700c723609f9"
+            "ec0cf833597b03c3b5a4a212b37ef06d")
+
     def test_relations_root_group(self, capsys):
         code, out, _ = self.run(capsys, "relations", "--weight", "3",
                                 "--depth", "2", "--group", "root:4",

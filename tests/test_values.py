@@ -249,7 +249,7 @@ class TestNumeric:
         """The value is 1 to within 2**-(10**400), and the word's own series
         reaches it in one term, with only rounding in the bound."""
         for n_terms in (1, 1000):
-            got = values._evaluate(zw(10 ** 400), n_terms, False)
+            got = mpl_numeric.__wrapped__(zw(10 ** 400), n_terms, False)
             assert got.value == 1.0
             assert got.truncation_n == 1
             assert abs(got.value - 1.0) <= got.tail_estimate < 1e-15
@@ -311,9 +311,9 @@ ROOT_OVER_PAIRED = [mw((2, 1), (GroupElement(1, 3), ONE)),
 
 
 class TestSweep:
-    """The sweep of a relation's words into the value cache, the cache's use
-    order and its sharing between threads, and the word's own series, summed
-    a block of terms at a time, against the per-word loop."""
+    """The value cache: each word summed once, the least recently used
+    evicted first, and the cache shared between threads; and the word's own
+    series, summed a block of terms at a time, against the per-word loop."""
 
     @pytest.mark.parametrize("n_terms", ORACLE_N)
     def test_matches_per_word_loop(self, n_terms, oracle_values):
@@ -321,28 +321,26 @@ class TestSweep:
             assert abs(own_series(word, n_terms) - want) <= 1e-13, word
 
     def test_shared_suffixes_in_one_call_then_cached(self, monkeypatch):
+        """One round of calls sums each distinct word once; a second round
+        is answered by the cache and sums nothing."""
         third = GroupElement(1, 3)
         words = [zw(2, 1, 1), zw(3, 1, 1), mw((1, 1), (MINUS_ONE, ONE)),
                  zw(2, 1, 1), mw((2, 1, 1), (third, ONE, ONE)),
                  mw((1, 2, 1), (MINUS_ONE, third, ONE)),
                  mw((3, 2, 1), (third, third, ONE)), IndexedWord(), zw(4)]
         n_terms = 2 * B + 3
-        want = [values._evaluate(w, n_terms, True) for w in words]
-        monkeypatch.setattr(values, "_cache", {})
-        fills, sums = [], []
-        real_fill, real_sum = values._fill, values._sum
-        monkeypatch.setattr(values, "_fill", lambda ws, n, allow:
-                            fills.append(ws) or real_fill(ws, n, allow))
+        want = [mpl_numeric.__wrapped__(w, n_terms, True) for w in words]
+        mpl_numeric.cache_clear()
+        sums = []
+        real_sum = values._sum
         monkeypatch.setattr(values, "_sum", lambda w, n:
                             sums.append(w) or real_sum(w, n))
-        values._prefill(words, n_terms, allow_conditional=True)
-        assert len(fills) == 1 and len(values._cache) == len(set(words))
-        assert len(sums) == len(set(sums)) == len(set(words))
         got = [mpl_numeric(w, n_terms, True) for w in words]
         assert got == want
-        assert len(fills) == 1, "a cached value was summed again"
-        values._prefill(words, n_terms, True)
-        assert len(fills) == 1 and len(sums) == len(set(words))
+        assert sums == list(dict.fromkeys(words))
+        assert mpl_numeric.cache_info().currsize == len(set(words))
+        assert [mpl_numeric(w, n_terms, True) for w in words] == want
+        assert len(sums) == len(set(words)), "a cached value was summed again"
 
     @pytest.mark.parametrize("n_terms", (2 * B - 1, 2 * B + 1, 6 * B + 5))
     @pytest.mark.parametrize("words", [PAIRED_WORDS, PAIRED_WORDS + ROOT_OVER_PAIRED],
@@ -361,65 +359,72 @@ class TestSweep:
                 assert mpl_numeric(word, n_terms).value.imag == 0.0, word
 
     def test_cache_keeps_the_most_recently_used(self, monkeypatch):
-        monkeypatch.setattr(values, "_cache", {})
-        monkeypatch.setattr(values, "_CACHE_SIZE", 3)
-        a, b, c, d = zw(2), zw(3), zw(4), zw(5)
-        for w in (a, b, c, a, d):  # the hit on a makes b the oldest
-            mpl_numeric(w, 10)
-        assert [key[0] for key in values._cache] == [c, a, d]
+        """The cache holds at most _CACHE_SIZE values: after that many newer
+        words, the oldest is summed again, while a word used since is not."""
+        mpl_numeric.cache_clear()
+        sums = []
+        real_sum = values._sum
+        monkeypatch.setattr(values, "_sum", lambda w, n:
+                            sums.append(w) or real_sum(w, n))
+        size = values._CACHE_SIZE
+        a, b = zw(2), zw(3)
+        newer = [zw(s) for s in range(4, size + 3)]
+        for w in [a, b, a] + newer:  # the hit on a makes b the oldest
+            mpl_numeric(w, 3, False)
+        info = mpl_numeric.cache_info()
+        assert info.maxsize == size == 4096
+        assert info.currsize == size
+        assert len(sums) == size + 1
+        mpl_numeric(a, 3, False)
+        assert len(sums) == size + 1
+        mpl_numeric(b, 3, False)
+        assert sums[-1] == b and len(sums) == size + 2
+        assert mpl_numeric.cache_info().currsize == size
 
-    def test_cache_shared_between_threads(self, monkeypatch):
-        """Four threads over one four-entry cache, switching as often as
-        the interpreter allows, so evictions race lookups and stores."""
-        monkeypatch.setattr(values, "_cache", {})
-        monkeypatch.setattr(values, "_CACHE_SIZE", 4)
+    def test_cache_shared_between_threads(self):
+        """Four threads over one cache, with a fifth clearing it, switching
+        as often as the interpreter allows, so clears race lookups and
+        stores; each thread gets the values one thread gets."""
         words = [IndexedWord(((s, ONE),)) for s in range(2, 40)]
-        errors, sizes = [], []
+        want = {w: mpl_numeric.__wrapped__(w, 3, False) for w in words}
+        errors = []
         got = [{} for _ in range(4)]
+        done = threading.Event()
 
         def run(i):
             mine = words[i % 2::2]
             try:
-                for _ in range(500):
+                for _ in range(100):
                     for w in mine:
-                        got[i][w] = mpl_numeric(w, 3)
-                        sizes.append(len(values._cache))
+                        got[i][w] = mpl_numeric(w, 3, False)
             except Exception as exc:
                 errors.append(exc)
 
+        def clear():
+            while not done.is_set():
+                mpl_numeric.cache_clear()
+
         threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        clearer = threading.Thread(target=clear)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
+            clearer.start()
             for t in threads:
                 t.start()
             for t in threads:
-                t.join()
+                t.join(timeout=120)
         finally:
+            done.set()
+            clearer.join(timeout=120)
             sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads + [clearer])
         assert errors == []
-        assert max(sizes) <= 4
+        assert mpl_numeric.cache_info().currsize <= values._CACHE_SIZE
         for seen in got:
+            assert len(seen) == len(words) // 2
             for w, val in seen.items():
-                assert val == values._evaluate(w, 3, False)
-
-    def test_prefill_stops_at_the_first_refused_word(self, monkeypatch):
-        monkeypatch.setattr(values, "_cache", {})
-        words = [zw(2), mw((1, 2), (MINUS_ONE, ONE)), zw(3)]
-        values._prefill(words, 100, allow_conditional=False)
-        assert [key[0] for key in values._cache] == [zw(2)]
-
-    def test_prefill_leaves_cached_keys_in_place(self, monkeypatch):
-        """A cached word is only probed: its key object and its place in
-        the use order stay, even when the caller's word is another object."""
-        monkeypatch.setattr(values, "_cache", {})
-        for w in (zw(2), zw(3), zw(4)):
-            mpl_numeric(w, 100)
-        before = list(values._cache)
-        values._prefill([zw(4), zw(2)], 100, False)
-        after = list(values._cache)
-        assert after == before
-        assert all(a is b for a, b in zip(after, before))
+                assert val == want[w]
 
     def test_memory_bounded_in_truncation(self):
         """Also for a mark too close to 1 to split, whose own series takes
@@ -430,7 +435,7 @@ class TestSweep:
                 (mw((2,), (GroupElement(1, 10 ** 400),)), 10 ** 5)):
             tracemalloc.start()
             try:
-                got = values._evaluate(word, n_terms, False)
+                got = mpl_numeric.__wrapped__(word, n_terms, False)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -606,11 +611,12 @@ class TestEvaluator:
         """Four threads evaluating at once, switching as often as the
         interpreter allows, get the values one thread gets."""
         words = admissible_words(5, 3, 3)[::7]
-        want = [values._evaluate(w, N, True) for w in words]
+        evaluate = mpl_numeric.__wrapped__
+        want = [evaluate(w, N, True) for w in words]
         got = [None] * 4
 
         def run(i):
-            got[i] = [values._evaluate(w, N, True) for w in words]
+            got[i] = [evaluate(w, N, True) for w in words]
 
         threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
         interval = sys.getswitchinterval()
@@ -707,24 +713,46 @@ class TestVerification:
         verify_relation_numeric(rel, 1000, 1e-3)
         assert seen == [w for w, _ in rel.combination.items()] + list(rel.factors)
 
-    def test_cache_info_counts_summed_words_then_hits(self, monkeypatch):
-        monkeypatch.setattr(values, "_cache", {})
+    def test_cache_info_counts_summed_words_then_hits(self):
+        """A first verify misses once per uncached word and hits only the
+        cached ones; a second verify hits every word."""
+        mpl_numeric.cache_clear()
         rel = euler_relation(2, 3)
         calls = len(rel.combination) + len(rel.factors)
-        start = mpl_numeric.cache_info()
-        mpl_numeric(zw(2), 1000)  # one factor, summed now
-        mpl_numeric(zw(2), 1000)
+        mpl_numeric(zw(2), 1000, False)  # one factor, summed now
+        mpl_numeric(zw(2), 1000, False)
         cached = mpl_numeric.cache_info()
-        assert (cached.hits - start.hits, cached.misses - start.misses) == (1, 1)
+        assert (cached.hits, cached.misses) == (1, 1)
         verify_relation_numeric(rel, 1000, 1e-3)
         first = mpl_numeric.cache_info()
         assert first.misses - cached.misses == len(rel.combination) + 1
-        assert first.hits - cached.hits == calls
+        assert first.hits - cached.hits == 1
         assert (first.maxsize, first.currsize) == (values._CACHE_SIZE, calls)
         verify_relation_numeric(rel, 1000, 1e-3)
         second = mpl_numeric.cache_info()
         assert second.misses == first.misses
         assert second.hits - first.hits == calls
+
+    def test_verify_stops_at_the_first_refused_word(self, monkeypatch):
+        """A product whose terms are summable but whose first factor
+        converges only conditionally: verify caches the terms, raises on
+        that factor, and neither caches it nor sums the factor after it."""
+        mpl_numeric.cache_clear()
+        refused = mw((1,), (MINUS_ONE,))
+        rel = Relation("product", (refused, zw(3)),
+                       LinComb([(zw(2, 2), 1), (zw(4), 2)]))
+        sums = []
+        real_sum = values._sum
+        monkeypatch.setattr(values, "_sum", lambda w, n:
+                            sums.append(w) or real_sum(w, n))
+        with pytest.raises(DomainError, match="conditionally"):
+            verify_relation_numeric(rel, 100, 1e-3)
+        assert sums == [w for w, _ in rel.combination.items()]
+        info = mpl_numeric.cache_info()
+        assert (info.misses, info.currsize) == (len(sums) + 1, len(sums))
+        with pytest.raises(DomainError):
+            mpl_numeric(refused, 100, False)
+        assert mpl_numeric.cache_info().misses == info.misses + 1
 
     def test_uncached_evaluation_counts_nothing(self):
         word = zw(5, 1, 2)
