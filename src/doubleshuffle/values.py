@@ -28,11 +28,10 @@ per-level bounds of :func:`_chain`.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import product as iter_product
+from itertools import islice, product as iter_product
 from operator import getitem, truediv
 
 from .core import (MINUS_ONE, ONE, DomainError, GroupElement, IndexedWord,
@@ -109,22 +108,31 @@ def euler_relation(r: int, s: int) -> Relation:
 
 def indexed_words(weight: int, depth: int, order: int = 1) -> list[IndexedWord]:
     """All index words of the exact weight and depth over the cyclic group,
-    by exponents, then marks.  Each word is one tuple of its marks' shared
-    pairs (``GroupElement.pairs``), built in C: the exponents of a
-    composition are >= 1, so no word needs checking."""
-    rows = [m.pairs for m in group_elements(order)]
-    return [_unchecked_word(map(getitem, mark_rows, comp))
-            for comp in enum_compositions(weight, depth)
-            for mark_rows in iter_product(rows, repeat=depth)]
+    by exponents, then marks (:func:`_words`, as a list)."""
+    return list(_words(weight, depth, order))
 
 
 def admissible_words(weight: int, max_depth: int, order: int = 1) -> list[IndexedWord]:
     """Admissible words of the given weight with depth <= max_depth,
     enumerated by depth, then exponents, then marks."""
-    out = []
-    for d in range(1, min(weight, max_depth) + 1):
-        out.extend(w for w in indexed_words(weight, d, order) if w.is_admissible)
-    return out
+    return [w for d in range(1, min(weight, max_depth) + 1)
+            for w in _admissible(weight, d, order)]
+
+
+def _words(weight: int, depth: int, order: int) -> Iterator[IndexedWord]:
+    """Yield the index words of the exact weight and depth, by exponents,
+    then marks.  Each word is one tuple of its marks' shared pairs
+    (``GroupElement.pairs``), built in C: the exponents of a composition
+    are >= 1, so no word needs checking."""
+    rows = [m.pairs for m in group_elements(order)]
+    for comp in enum_compositions(weight, depth):
+        for mark_rows in iter_product(rows, repeat=depth):
+            yield _unchecked_word(map(getitem, mark_rows, comp))
+
+
+def _admissible(weight: int, depth: int, order: int) -> Iterator[IndexedWord]:
+    """The admissible words of :func:`_words`, as it yields them."""
+    return (w for w in _words(weight, depth, order) if w.is_admissible)
 
 
 def relation_stream(weight: int, depth: int, order: int = 1,
@@ -135,39 +143,40 @@ def relation_stream(weight: int, depth: int, order: int = 1,
     merge-product expansion (pairs whose two expansions coincide are
     dropped); then, with ``hoffman``, every nonzero
     :func:`hoffman_difference` of an admissible word of weight ``weight - 1``
-    and depth < ``depth`` (depth 1 when ``depth`` is 1).
+    and depth < ``depth`` (depth 1 when ``depth`` is 1, none when it is
+    below 1).
 
-    The pairs go by the lighter word's weight ``wa``.  The words of weights
-    ``wa`` and ``weight - wa`` are listed when the loop reaches ``wa`` (one
-    list when the two are equal) and dropped once their pairs are done, and
-    only to depth ``depth - 1``, since a word's partner has depth >= 1.  No
-    list is built ahead, and none for ``weight - wa`` when ``wa`` has no
-    word: ``relation_stream(13, 6, 3)`` builds 95,145 words before its
-    first relation, where listing every weight to depth 6 built 912,717,
-    and ``relations --weight 13 --depth 6 --group root:3`` prints its first
-    line after 0.2-0.3 s at a peak RSS of 27 MB, not 5.0-6.7 s and 389 MB
-    (see README).
+    The pairs go by the lighter word's weight ``wa``, then its depth
+    ``da``, then the word ``mu`` itself, by exponents and then marks; its
+    partners go by depth, and for equal weights start at ``mu`` itself.
+    Every word comes from a generator made as the loop reaches it, so the
+    stream holds no word list: ``relation_stream(13, 6, 3)`` yields its
+    first relation after 0.2-0.3 ms at a 16 MB peak RSS, and
+    ``relation_stream(20, 8, 3)``, whose first weight pair alone has 47.7 M
+    words of weight 19 to depth 7, as soon (see README).
     """
     for wa in range(1, weight // 2 + 1):
         wb = weight - wa
-        words_a = admissible_words(wa, depth - 1, order)
-        if not words_a:
-            continue
-        words_b = words_a if wa == wb else admissible_words(wb, depth - 1, order)
-        for ia, mu in enumerate(words_a):
-            start = ia if wa == wb else 0
-            # the lists are ordered by depth, so mu's partners are a prefix
-            stop = bisect_right(words_b, depth - len(mu), key=len)
-            for nu in words_b[start:stop]:
-                diff = explicit_product_e(mu, nu) - quasi_shuffle(mu, nu)
-                if diff:
-                    yield Relation("double-shuffle", (mu, nu), diff)
-        del words_a, words_b
-    if hoffman:
-        for nu in admissible_words(weight - 1, max(depth - 1, 1), order):
-            rel = hoffman_difference(nu)
-            if rel.combination:
-                yield rel
+        for da in range(1, min(wa, depth - 1) + 1):
+            depths_b = range(da if wa == wb else 1, min(wb, depth - da) + 1)
+            if not depths_b:
+                break
+            for ia, mu in enumerate(_admissible(wa, da, order)):
+                for db in depths_b:
+                    partners = _admissible(wb, db, order)
+                    if wa == wb and db == da:
+                        # mu's partners of its own class start at mu
+                        partners = islice(partners, ia, None)
+                    for nu in partners:
+                        diff = explicit_product_e(mu, nu) - quasi_shuffle(mu, nu)
+                        if diff:
+                            yield Relation("double-shuffle", (mu, nu), diff)
+    if hoffman and depth >= 1:
+        for d in range(1, min(weight - 1, max(depth - 1, 1)) + 1):
+            for nu in _admissible(weight - 1, d, order):
+                rel = hoffman_difference(nu)
+                if rel.combination:
+                    yield rel
 
 
 def double_shuffle_relations(weight: int, depth: int, order: int = 1) -> list[Relation]:
@@ -612,7 +621,8 @@ def _power_tail(terms: int, s: int, k: int) -> float:
 
 def _least_terms(tail, cap: int) -> int | None:
     """The least M <= cap with tail(M) <= _TAIL, for a tail bound that
-    falls with M, found by doubling and then bisection; None past cap.
+    falls with M, found by doubling, then by halving the bracket; None
+    past cap.
 
     A search probes about 2 log2(M) term counts.  The two tail bounds are
     memoised, so the words of a stream that share a depth and a ratio or

@@ -126,18 +126,47 @@ class TestDoubleShuffleRelations:
         elif weight >= 4:
             assert pairs
 
-    def test_first_relation_lists_two_classes_short_of_the_depth(
-            self, monkeypatch):
-        calls = []
+    def test_stream_builds_no_word_list(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("relation_stream listed its words")
+
+        expected = full_depth_relations(6, 3, 3, hoffman=True)
+        monkeypatch.setattr(values, "admissible_words", refused)
+        monkeypatch.setattr(values, "indexed_words", refused)
+        assert list(relation_stream(6, 3, 3, hoffman=True)) == expected
+
+    def test_first_relation_builds_three_words(self, monkeypatch):
+        # (1|0/1) is not admissible, (1|1/3) is, and (8) is its first partner
+        built = []
+        words = values._words
 
         def recorded(*args):
-            calls.append(args)
-            return admissible_words(*args)
+            for word in words(*args):
+                built.append(word)
+                yield word
 
-        monkeypatch.setattr(values, "admissible_words", recorded)
+        monkeypatch.setattr(values, "_words", recorded)
         first = next(relation_stream(9, 5, 3))
-        assert calls == [(1, 4, 3), (8, 4, 3)]
         assert first.factors == (mw((1,), (GroupElement(1, 3),)), zw(8))
+        assert built == [mw((1,), (ONE,)), *first.factors]
+
+    def test_first_relation_of_a_huge_stream_at_once(self):
+        # listing the words of weight 19 to depth 7 over the cube roots would
+        # build 47.7 M of them
+        tracemalloc.start()
+        try:
+            first = next(relation_stream(20, 8, 3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first.factors == (mw((1,), (GroupElement(1, 3),)), zw(19))
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("depth", [0, -3])
+    def test_no_relation_below_depth_one(self, depth):
+        assert list(relation_stream(5, depth, hoffman=True)) == []
+        assert list(relation_stream(5, depth, 3, hoffman=True)) == []
+        assert admissible_words(4, depth) == []
 
     @pytest.mark.parametrize("weight, depth, order",
                              [(5, 3, 3), (6, 2, 4), (4, 4, 1), (7, 1, 2),
