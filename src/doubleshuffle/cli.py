@@ -243,6 +243,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # its message is empty
+        print("error: out of memory", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # The reader is gone: point stdout at the null device, so the
         # flush of what is still buffered, at exit, prints nothing.

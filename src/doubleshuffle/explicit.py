@@ -22,8 +22,9 @@ from itertools import combinations, pairwise
 from math import comb
 from operator import getitem
 
-from .core import (ONE, DomainError, GroupElement, IndexedWord, LinComb,
+from .core import (DomainError, GroupElement, IndexedWord, LinComb,
                    _unchecked_word, binomial)
+from .maps import theta_inv_marks, theta_marks
 
 
 class IndexPair(namedtuple("IndexPair", "k l phi_mask")):
@@ -169,17 +170,10 @@ def merge_marks_b(pair: IndexPair, a: tuple[GroupElement, ...],
 
 def merge_marks_e(pair: IndexPair, w: tuple[GroupElement, ...],
                   z: tuple[GroupElement, ...]) -> tuple[GroupElement, ...]:
-    """Quotient-coordinate merge: same-source runs copy the mark, source
-    switches take the quotient of the two prefix products accumulated so far.
-    """
-    sources = _sources(pair)
-    prod = {True: ONE, False: ONE}  # product of each source's marks so far
-    out = []
-    for i, (mark, src) in enumerate(zip(merge_marks_b(pair, w, z), sources)):
-        prod[src] *= mark
-        switch = i and sources[i - 1] != src
-        out.append(prod[src] / prod[not src] if switch else mark)
-    return tuple(out)
+    """Quotient-coordinate merge: the b-form merge read through theta,
+    ``theta(merge_b(pair, theta^-1 w, theta^-1 z))``."""
+    return theta_marks(merge_marks_b(pair, theta_inv_marks(w),
+                                     theta_inv_marks(z)))
 
 
 def _sources(pair: IndexPair) -> tuple[bool, ...]:
@@ -273,43 +267,54 @@ def _shape_walks(r: tuple[int, ...], s: tuple[int, ...]) -> tuple[dict, ...]:
 _KEPT_MARKS = 2 ** 13
 
 
+# The mark coordinates ``(read, rewrite)`` of each form: ``read`` takes a
+# factor's marks to the b-form's, where a merge only routes them, and
+# ``rewrite`` takes the routed vector back.
+_B_COORDS = (tuple, tuple)
+_E_COORDS = (theta_inv_marks, theta_marks)
+
+
 @lru_cache(maxsize=512)
-def _merged_marks(merge, a: tuple[GroupElement, ...], b: tuple[GroupElement, ...]
+def _merged_marks(coords, a: tuple[GroupElement, ...], b: tuple[GroupElement, ...]
                   ) -> tuple[bool, tuple[tuple[tuple, tuple], ...]]:
     """``(marks, rows)`` for every index pair of ``(len(a), len(b))``, in
-    :func:`enum_index_pairs` order: the merged marks ``merge(pair, a, b)``
-    and their pair rows (``GroupElement.pairs``), after a flag that is
-    true when every pair merges to one and the same vector.  The exponents
-    play no part, so one mark vector pair merges, and reads its rows, once
-    for all the shapes it meets."""
+    :func:`enum_index_pairs` order: the merged marks, ``rewrite`` of the
+    pair's routing of ``read(a)`` and ``read(b)`` for ``coords = (read,
+    rewrite)``, and their pair rows (``GroupElement.pairs``), after a flag
+    that is true when every pair merges to one and the same vector.  Each
+    mark vector is read once per call.  The exponents play no part, so one
+    mark vector pair merges, and reads its rows, once for all the shapes it
+    meets."""
+    read, rewrite = coords
+    a, b = read(a), read(b)
     merged = tuple((marks, tuple([m.pairs for m in marks]))
                    for pair in enum_index_pairs(len(a), len(b))
-                   for marks in (merge(pair, a, b),))
+                   for marks in (rewrite(pair.route(a, b)),))
     return len({marks for marks, _ in merged}) == 1, merged
 
 
-def _closed_form(mu: IndexedWord, nu: IndexedWord, merge, walks) -> LinComb:
+def _closed_form(mu: IndexedWord, nu: IndexedWord, coords, walks) -> LinComb:
     """Sum c * (t; merged marks) over every index pair and its walked terms.
 
-    ``merge(pair, a, b)`` routes the mark vectors to the target positions
-    and ``walks(r, s)`` gives every index pair's nonzero ``{t: c}`` terms,
-    in :func:`enum_index_pairs` order.  Two terms share a word exactly when
-    they share the merged marks and the composition t, so the sum keeps one
-    ``{t: c}`` dict per merged-mark vector, the first pair of each vector
-    goes in whole, and each word is built once, at the end, as the one
-    tuple of its vector's cached rows at t.  When every pair merges to one
-    and the same vector (every product of unmarked words), the kernel's
-    terms are walked straight into that vector's one dict; the permutation
-    form keeps its per-pair terms, whose coefficients it recomputes.  Every
-    walked coefficient is a product of nonzero binomials, so no sum
-    vanishes.
+    ``coords = (read, rewrite)`` are the mark coordinates that
+    :func:`_merged_marks` routes in, and ``walks(r, s)`` gives every index
+    pair's nonzero ``{t: c}`` terms, in :func:`enum_index_pairs` order.  Two
+    terms share a word exactly when they share the merged marks and the
+    composition t, so the sum keeps one ``{t: c}`` dict per merged-mark
+    vector, the first pair of each vector goes in whole, and each word is
+    built once, at the end, as the one tuple of its vector's cached rows at
+    t.  When every pair merges to one and the same vector (every product of
+    unmarked words), the kernel's terms are walked straight into that
+    vector's one dict; the permutation form keeps its per-pair terms, whose
+    coefficients it recomputes.  Every walked coefficient is a product of
+    nonzero binomials, so no sum vanishes.
     """
     r, s = mu.exponents, nu.exponents
     n = len(r) + len(s)
     if comb(n, len(r)) * n <= _KEPT_MARKS:
-        one_class, merged = _merged_marks(merge, mu.marks, nu.marks)
+        one_class, merged = _merged_marks(coords, mu.marks, nu.marks)
     else:
-        one_class, merged = _merged_marks.__wrapped__(merge, mu.marks, nu.marks)
+        one_class, merged = _merged_marks.__wrapped__(coords, mu.marks, nu.marks)
     if one_class and walks is _shape_walks:
         acc: dict = {}
         _lattice(r, s, [acc] * len(merged))
@@ -338,13 +343,13 @@ def explicit_product_b(mu: IndexedWord, nu: IndexedWord) -> LinComb:
     An empty factor is absorbed by the degenerate pair convention, under
     which the coefficient collapses to a Kronecker delta.
     """
-    return _closed_form(mu, nu, merge_marks_b, _shape_walks)
+    return _closed_form(mu, nu, _B_COORDS, _shape_walks)
 
 
 def explicit_product_e(mu: IndexedWord, nu: IndexedWord) -> LinComb:
     """Closed form of ``maps.product_e``: same coefficients as the b-form,
     with the quotient-coordinate mark merge."""
-    return _closed_form(mu, nu, merge_marks_e, _shape_walks)
+    return _closed_form(mu, nu, _E_COORDS, _shape_walks)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +433,7 @@ def _perm_walks(r: tuple[int, ...], s: tuple[int, ...]) -> list[dict]:
 
 def perm_product_b(mu: IndexedWord, nu: IndexedWord) -> LinComb:
     """The b-form product computed through the permutation formulation."""
-    return _closed_form(mu, nu, merge_marks_b, _perm_walks)
+    return _closed_form(mu, nu, _B_COORDS, _perm_walks)
 
 
 # ---------------------------------------------------------------------------

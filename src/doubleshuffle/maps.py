@@ -12,38 +12,27 @@ words; these are the oracle counterparts of the closed-form expansion in
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
-from operator import getitem, sub
+from itertools import accumulate, repeat
+from operator import getitem, mul, sub, truediv
 
-from .core import (DomainError, GroupElement, IndexedWord, LinComb,
+from .core import (ONE, DomainError, GroupElement, IndexedWord, LinComb,
                    ShuffleWord, _unchecked_word)
 from .recursive import _shuffle_letters
 
 
-def _codes(*words: tuple) -> tuple[list[tuple[int, ...]], list]:
-    """The letter tuples with each letter renamed to a small int: 0 for the
-    unmarked letter, 1, 2, ... for the distinct marks by first appearance;
-    and the list of letters, indexed by code, that decodes them."""
-    code = {None: 0}
-    for b in chain(*words):
-        code.setdefault(b, len(code))
-    return [tuple(map(code.__getitem__, w)) for w in words], list(code)
-
-
-def _rows(letters: list, rewrite=tuple):
-    """For one call's codes: the pair rows (``GroupElement.pairs``) of the
-    marks of a coded mark tuple, passed through ``rewrite``, memoised for
-    that call."""
+def _rows(rewrite=tuple):
+    """The pair rows (``GroupElement.pairs``) of a mark tuple passed
+    through ``rewrite``, memoised by the mark tuple for one call."""
     @lru_cache(maxsize=None)
-    def rows(codes: tuple[int, ...]) -> list[dict]:
-        return [b.pairs for b in rewrite(tuple(map(letters.__getitem__, codes)))]
+    def rows(marks: tuple) -> list[dict]:
+        return [b.pairs for b in rewrite(marks)]
     return rows
 
 
-def _encode(letters: tuple[int, ...], rows) -> IndexedWord:
-    """Block encoding of a coded letter tuple that is empty or ends in a
-    marked letter, marks decoded by ``rows``; injective, as each exponent is
-    the gap between the positions of two consecutive marked letters."""
+def _encode(letters: tuple, rows) -> IndexedWord:
+    """Block encoding of a letter tuple that is empty or ends in a marked
+    letter, marks read by ``rows``; injective, as each exponent is the gap
+    between the positions of two consecutive marked letters."""
     ends = [i for i, b in enumerate(letters, 1) if b]
     return _unchecked_word(map(getitem, rows(tuple(filter(None, letters))),
                                map(sub, ends, [0, *ends])))
@@ -54,8 +43,7 @@ def rho(u: ShuffleWord) -> IndexedWord:
     if not u.encodes_index_word:
         raise DomainError(f"word {str(u)!r} ends in the unmarked letter; "
                           "it does not encode an index word")
-    (coded,), letters = _codes(u.letters)
-    return _encode(coded, _rows(letters))
+    return _encode(u.letters, _rows())
 
 
 def rho_inv(word: IndexedWord) -> ShuffleWord:
@@ -69,22 +57,12 @@ def rho_inv(word: IndexedWord) -> ShuffleWord:
 
 def theta_marks(marks: tuple[GroupElement, ...]) -> tuple[GroupElement, ...]:
     """(b1, b2, ..., bk)  ->  (1/b1, b1/b2, ..., b_{k-1}/bk)."""
-    out: list[GroupElement] = []
-    prev: GroupElement | None = None
-    for b in marks:
-        out.append(b.inverse() if prev is None else prev / b)
-        prev = b
-    return tuple(out)
+    return tuple(map(truediv, (ONE, *marks), marks))
 
 
 def theta_inv_marks(marks: tuple[GroupElement, ...]) -> tuple[GroupElement, ...]:
     """(z1, z2, ..., zk)  ->  (1/z1, 1/(z1 z2), ..., 1/(z1...zk))."""
-    out: list[GroupElement] = []
-    acc: GroupElement | None = None
-    for z in marks:
-        acc = z if acc is None else acc * z
-        out.append(acc.inverse())
-    return tuple(out)
+    return tuple(map(truediv, repeat(ONE), accumulate(marks, mul)))
 
 
 def theta(word: IndexedWord) -> IndexedWord:
@@ -107,13 +85,12 @@ def eta_inv(word: IndexedWord) -> ShuffleWord:
 
 
 def _transport(u: ShuffleWord, v: ShuffleWord, rewrite=tuple) -> LinComb:
-    """Interleave two letter words on int codes and block-encode each summed
-    letter tuple once, marks passed through ``rewrite``.  Both memos live
-    for this call, so no table outlives the codes it is keyed by."""
-    (u, v), letters = _codes(u.letters, v.letters)
-    rows = _rows(letters, rewrite)
-    return LinComb._wrap({_encode(w, rows): c
-                          for w, c in _shuffle_letters(u, v).items()})
+    """Interleave two letter words and block-encode each summed letter
+    tuple once, marks passed through ``rewrite``.  Both memos live for
+    this call only."""
+    rows = _rows(rewrite)
+    return LinComb._wrap({_encode(w, rows): c for w, c
+                          in _shuffle_letters(u.letters, v.letters).items()})
 
 
 def product_b(mu: IndexedWord, nu: IndexedWord) -> LinComb:

@@ -385,6 +385,15 @@ class TestCommandLine:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch):
+        def exhausted(mu, nu):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._CLOSED_FORMS, "e", exhausted)
+        code, out, err = self.run(capsys, "explicit", "(1,1)", "(1)",
+                                  "--form", "e")
+        assert (code, out, err) == (2, "", "error: out of memory\n")
+
     def test_domain_error_exit_code(self, capsys):
         code, _, err = self.run(capsys, "euler", "1", "3")
         assert code == 2

@@ -17,8 +17,8 @@ from doubleshuffle import (MINUS_ONE, ONE, DomainError, GroupElement,
                            sigma_of_pair)
 from doubleshuffle import explicit
 from doubleshuffle.core import LinComb
-from doubleshuffle.explicit import (IndexPair, _lattice, _merged_marks,
-                                    _perm_walks, _shape_walks,
+from doubleshuffle.explicit import (_B_COORDS, _E_COORDS, IndexPair, _lattice,
+                                    _merged_marks, _perm_walks, _shape_walks,
                                     amp, dagger,
                                     extend_phi_leading, extend_psi_leading,
                                     restrict_phi_leading,
@@ -277,6 +277,43 @@ class TestMerges:
                             assert lhs == rhs
 
 
+def quotient_rule(pair, w, z):
+    """The e-form merge position by position: a same-source run copies
+    its mark, and a source switch takes the quotient of the two sources'
+    prefix products so far, the switching source's on top."""
+    sources = pair.route((True,) * pair.k, (False,) * pair.l)
+    prod = {True: ONE, False: ONE}
+    out = []
+    for i, (mark, src) in enumerate(zip(pair.route(w, z), sources)):
+        prod[src] *= mark
+        out.append(prod[src] / prod[not src]
+                   if i and sources[i - 1] != src else mark)
+    return tuple(out)
+
+
+# orders 4 and 5 stop at k + l = 4: their depths 3 and 3 alone have 20
+# and 32 times the index pairs of the cases they keep
+@pytest.mark.parametrize("order, most", [(1, 6), (2, 6), (3, 6), (4, 4), (5, 4)])
+def test_kernel_merges_match_the_spec_forms(order, most):
+    """Every pair of mark vectors of depths k, l <= 3 with k + l <= most,
+    the empty vector included: the kernel's merged marks and rows equal the
+    spec merges pair by pair, and its e-form equals the per-position
+    quotient rule, which does not go through theta."""
+    vectors = [v for n in range(4) for v in _tuples(group_elements(order), n)]
+    for a in vectors:
+        for b in (v for v in vectors if len(a) + len(v) <= most):
+            pairs = list(enum_index_pairs(len(a), len(b)))
+            for coords, merge in ((_B_COORDS, merge_marks_b),
+                                  (_E_COORDS, merge_marks_e)):
+                merged = _merged_marks.__wrapped__(coords, a, b)[1]
+                assert len(merged) == len(pairs)
+                for pair, (marks, rows) in zip(pairs, merged):
+                    assert marks == merge(pair, a, b), (pair, a, b)
+                    assert all(row is m.pairs for row, m in zip(rows, marks))
+                    if coords is _E_COORDS:
+                        assert marks == quotient_rule(pair, a, b), (pair, a, b)
+
+
 def _tuples(pool, n):
     from itertools import product
     return product(pool, repeat=n)
@@ -369,13 +406,13 @@ def unpruned_terms(mu, nu, merge):
             yield IndexedWord(tuple(zip(t, marks))), c
 
 
-def closed_form_words(mu, nu, merge, walks=_shape_walks):
+def closed_form_words(mu, nu, coords, walks=_shape_walks):
     """The terms the closed form sums, index pair by index pair, as
     ``(word, c)``: each pair's merged marks zipped with its walked terms,
     each word built through the checking ``IndexedWord`` constructor."""
     return [(IndexedWord(zip(t, marks)), c)
             for (marks, _), walked in zip(
-                _merged_marks(merge, mu.marks, nu.marks)[1],
+                _merged_marks(coords, mu.marks, nu.marks)[1],
                 walks(mu.exponents, nu.exponents))
             for t, c in walked.items()]
 
@@ -407,8 +444,9 @@ class TestPrunedWalk:
                  IndexedWord(((2, third),))]
         for mu in words:
             for nu in words:
-                for merge in (merge_marks_b, merge_marks_e):
-                    assert closed_form_words(mu, nu, merge) == \
+                for merge, coords in ((merge_marks_b, _B_COORDS),
+                                      (merge_marks_e, _E_COORDS)):
+                    assert closed_form_words(mu, nu, coords) == \
                         list(unpruned_terms(mu, nu, merge))
 
     @pytest.mark.parametrize("order", [1, 2, 3])
@@ -433,8 +471,8 @@ class TestPrunedWalk:
     def test_perm_coefficients_match_e_form_term_by_term(self):
         mu = IndexedWord(((2, GroupElement(1, 3)), (1, ONE), (3, ONE)))
         nu = IndexedWord(((1, GroupElement(2, 3)), (2, GroupElement(1, 3))))
-        perm = closed_form_words(mu, nu, merge_marks_b, _perm_walks)
-        e_form = closed_form_words(mu, nu, merge_marks_e)
+        perm = closed_form_words(mu, nu, _B_COORDS, _perm_walks)
+        e_form = closed_form_words(mu, nu, _E_COORDS)
         assert len(perm) == len(e_form) > 0
         for (pw, pc), (ew, ec) in zip(perm, e_form):
             assert pw.exponents == ew.exponents
@@ -474,8 +512,8 @@ class TestPrunedWalk:
             nu = IndexedWord.from_parts((3,), b)
             for closed, oracle in routes:
                 assert closed(mu, nu) == oracle(mu, nu), (closed.__name__, mu, nu)
-            for merge in (merge_marks_b, merge_marks_e):
-                for marks, rows in _merged_marks(merge, a, b)[1]:
+            for coords in (_B_COORDS, _E_COORDS):
+                for marks, rows in _merged_marks(coords, a, b)[1]:
                     assert len(rows) == len(marks)
                     assert all(row is m.pairs for row, m in zip(rows, marks))
         assert _merged_marks.cache_info().hits > 0
@@ -497,24 +535,27 @@ class TestOneSumRoute:
     """A product whose index pairs all merge to one mark vector is walked
     straight into one ``{t: c}`` sum; it must equal the per-pair sum."""
 
-    def check_one_sum(self, mu, nu, merge, closed):
-        one_class, _ = _merged_marks(merge, mu.marks, nu.marks)
+    def check_one_sum(self, mu, nu, merge, coords, closed):
+        one_class, _ = _merged_marks(coords, mu.marks, nu.marks)
         assert one_class, (mu, nu)
         got = closed(mu, nu)
-        assert got == LinComb(closed_form_words(mu, nu, merge)), (mu, nu)
+        assert got == LinComb(closed_form_words(mu, nu, coords)), (mu, nu)
         assert got == LinComb(unpruned_terms(mu, nu, merge)), (mu, nu)
         return got
 
     def test_trivial_group_matches_the_per_pair_sums(self):
         for mu, nu in words_up_to(7):
-            got_b = self.check_one_sum(mu, nu, merge_marks_b, explicit_product_b)
-            got_e = self.check_one_sum(mu, nu, merge_marks_e, explicit_product_e)
+            got_b = self.check_one_sum(mu, nu, merge_marks_b, _B_COORDS,
+                                       explicit_product_b)
+            got_e = self.check_one_sum(mu, nu, merge_marks_e, _E_COORDS,
+                                       explicit_product_e)
             assert got_b == got_e == perm_product_b(mu, nu), (mu, nu)
 
     @pytest.mark.parametrize("mark", [GroupElement(1, 3), GroupElement(2, 3)])
     def test_equal_marks_root_3_b_form(self, mark):
         for mu, nu in words_up_to(6, marks=lambda k: (mark,) * k):
-            got = self.check_one_sum(mu, nu, merge_marks_b, explicit_product_b)
+            got = self.check_one_sum(mu, nu, merge_marks_b, _B_COORDS,
+                                     explicit_product_b)
             assert got == perm_product_b(mu, nu) == product_b(mu, nu), (mu, nu)
 
     def test_perm_form_recomputes_every_walked_coefficient(self, monkeypatch):
@@ -542,7 +583,7 @@ class TestOneSumRoute:
         marked = IndexedWord(minus)
         want_marked = LinComb({IndexedWord(ones[:i] + minus + ones[i:]): 1
                                for i in range(depth + 1)})
-        assert not _merged_marks.__wrapped__(merge_marks_b, ones.marks,
+        assert not _merged_marks.__wrapped__(_B_COORDS, ones.marks,
                                              marked.marks)[0]
         try:
             assert explicit_product_e(ones, zw(1)) == want_ones

@@ -11,6 +11,7 @@ from doubleshuffle import (MINUS_ONE, ONE, DomainError, GroupElement,
                            explicit_product_e, perm_product_b, product_b,
                            product_e, rho, rho_inv, shuffle, theta, theta_inv)
 from doubleshuffle.explicit import _merged_marks
+from doubleshuffle.maps import theta_inv_marks, theta_marks
 
 from bruteforce import brute_shuffle
 from helpers import all_indexed_words, all_shuffle_words, mw, zw
@@ -58,6 +59,22 @@ class TestTheta:
         w = IndexedWord(((2, GroupElement(1, 5)), (1, GroupElement(3, 5))))
         got = theta(w)
         assert got == IndexedWord(((2, GroupElement(4, 5)), (1, GroupElement(3, 5))))
+
+    @pytest.mark.parametrize("marks, quotients, inverse_prefixes", [
+        ((), (), ()),
+        (((2, 7),), ((5, 7),), ((5, 7),)),
+        # (1/b1, b1/b2, b2/b3) and (1/z1, 1/(z1 z2), 1/(z1 z2 z3)) of the
+        # angles 1/7, 3/7, 5/7
+        (((1, 7), (3, 7), (5, 7)), ((6, 7), (5, 7), (5, 7)),
+         ((6, 7), (3, 7), (5, 7))),
+    ])
+    def test_mark_maps_root_7(self, marks, quotients, inverse_prefixes):
+        marks = tuple(GroupElement(*m) for m in marks)
+        assert theta_marks(marks) == tuple(GroupElement(*m) for m in quotients)
+        assert theta_inv_marks(marks) == \
+            tuple(GroupElement(*m) for m in inverse_prefixes)
+        assert theta_marks(theta_inv_marks(marks)) == marks
+        assert theta_inv_marks(theta_marks(marks)) == marks
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_round_trips(self, order):
@@ -199,10 +216,10 @@ class TestSharedMemosAndPairs:
             assert info.currsize == 0
             seen = info
 
-    def test_letter_codes_are_renamed_per_call(self):
-        """Both calls code their marks as 1 and 2, so a memo keyed by codes
-        that outlived its call would decode the second call's words with
-        the first call's marks."""
+    def test_row_memo_lives_for_one_call(self):
+        """Each call memoises its rows by mark tuple for that call only, so
+        two calls on other marks, and the b- and e-forms, which rewrite the
+        same marks differently, each read their own rows."""
         fifth = [GroupElement(j, 5) for j in range(5)]
         for a, b in ((fifth[1], fifth[2]), (fifth[3], fifth[4])):
             mu, nu = mw((2,), (a,)), mw((1,), (b,))
